@@ -50,9 +50,13 @@ constexpr int kSetupRepeats = 3;
 constexpr usize kReadLength = 100;
 constexpr double kErrorRate = 0.02;
 
-// fig1-cpu: one big batch through BatchEngine::run_sharded.
+// fig1-cpu: one big batch through BatchEngine::run_sharded. Each shard is
+// split statically over the workers, so with 4 shards one slowed-down
+// hardware thread stalled the whole pass; 16 shards of ~31k pairs let the
+// other workers take up the slack (run-to-run spread of pairs_per_s 0.14
+// -> 0.08 over six interleaved seeds on a shared 4-vCPU host).
 constexpr usize kFig1CpuPairs = 500'000;
-constexpr usize kFig1CpuShards = 4;
+constexpr usize kFig1CpuShards = 16;
 constexpr usize kGotohSample = 256;
 
 // fig1-pim: the paper's 2560-DPU system on a 5M-pair virtual batch, of
@@ -63,15 +67,20 @@ constexpr usize kPimSimulatedDpus = 16;
 constexpr usize kPimTasklets = 24;
 
 // stream-small: 32-pair score-only requests into an AlignService with its
-// default batch (1024 pairs / 5 ms) and admission watermarks. Two workers
-// already saturate the request path (batcher, completer and load threads
-// need the remaining hardware threads), and the open-loop rate is about a
-// quarter of the saturated rate: at half of it, the median latency more
-// than doubled whenever the shared host slowed down.
+// default batch watermarks (1024 pairs / 5 ms). Two workers already
+// saturate the request path (batcher, completer and load threads need the
+// remaining hardware threads), and the open-loop rate is about a quarter
+// of the saturated rate: at half of it, the median latency more than
+// doubled whenever the shared host slowed down. The admission watermark is
+// 8x the default: at 8192 pairs the saturating producer blocked every few
+// batches and its throughput spread 0.34 run to run on a contended host,
+// against 0.12 at 65,536 pairs (five interleaved seeds each).
 constexpr usize kStreamPairs = 200'000;
 constexpr usize kRequestPairs = 32;
 constexpr usize kStreamWorkers = 2;
 constexpr double kOfferedRequestsPerS = 8'000;
+constexpr usize kMaxQueuedPairs = 65'536;
+constexpr int kStreamRounds = 5;
 // Latency recorded for a failed request or a wrong reply: it missed every
 // limit.
 constexpr double kMissedMs = 1e9;
@@ -918,6 +927,7 @@ RunReport stream_small(const RunConfig& config) {
   options.engine.max_in_flight = kInFlight;
   options.engine.workers = kStreamWorkers;
   options.scope = AlignmentScope::kScoreOnly;
+  options.max_queued_pairs = kMaxQueuedPairs;
 
   // One-shot reference on the registry backend the service runs; its
   // modeled rate (the SIMD work model: deterministic for given pairs) is
@@ -979,14 +989,24 @@ RunReport stream_small(const RunConfig& config) {
   });
 
   if (!config.trace) {
-    const OpenLoopResult open = open_loop(*service, pairs, reference,
-                                          config.seconds / 2, nullptr, report);
-    const std::vector<double> passes = timed_passes(
-        config.seconds / 2, 3, [&] { saturating(*service, nullptr); });
+    // The phases alternate over kStreamRounds rounds (a quarter of each
+    // round open loop, the rest saturating) so that both sample the host
+    // across the whole run instead of one half each.
+    std::vector<double> latency_ms;
+    std::vector<double> passes;
+    const double round_s = config.seconds / kStreamRounds;
+    for (int round = 0; round < kStreamRounds; ++round) {
+      const OpenLoopResult open = open_loop(*service, pairs, reference,
+                                            round_s / 4, nullptr, report);
+      latency_ms.insert(latency_ms.end(), open.latency_ms.begin(),
+                        open.latency_ms.end());
+      const std::vector<double> part = timed_passes(
+          round_s * 3 / 4, 1, [&] { saturating(*service, nullptr); });
+      passes.insert(passes.end(), part.begin(), part.end());
+    }
     e2e.pairs_per_s = static_cast<double>(pairs.size()) / median(passes);
     e2e.reads_per_s = e2e.pairs_per_s;
-    e2e.latency_p50 = quantile(open.latency_ms, 0.5);
-
+    e2e.latency_p50 = quantile(latency_ms, 0.5);
     e2e.modeled_pairs_per_s = one_shot_result.timings.throughput();
     e2e.recall = 1.0 - ratio(static_cast<double>(report.failed),
                              static_cast<double>(report.attempted));
