@@ -22,7 +22,6 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 BUILD = ROOT / ".bench_build" / "perfbench"
-RUN_TIMEOUT_S = 170
 
 
 def log(*parts):
@@ -80,11 +79,14 @@ def main():
         traces.mkdir(parents=True, exist_ok=True)
         command += ["--trace-out",
                     str(traces / f"{args.workload}-seed{args.seed}.json")]
+    # A run measures for --seconds, plus three set-ups and the reference
+    # computation; its traced form alternates with untraced passes.
+    timeout_s = args.seconds * 2 + 120
     try:
         run = subprocess.run(command, stdout=subprocess.PIPE, text=True,
-                             timeout=RUN_TIMEOUT_S)
+                             timeout=timeout_s)
     except subprocess.TimeoutExpired:
-        log(f"{args.workload} did not finish within {RUN_TIMEOUT_S} s")
+        log(f"{args.workload} did not finish within {timeout_s:g} s")
         return 1
     lines = run.stdout.strip().splitlines()
     if run.returncode != 0 or not lines:

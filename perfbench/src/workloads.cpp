@@ -207,14 +207,15 @@ class LayerReport {
 // the run's start time (now_ns clock).
 using RunHook = std::function<void(seq::ReadPairSpan, std::int64_t)>;
 
-// Counters a CPU decorator accumulates, split by scope.
+// Exact WFA/SIMD counters a CPU decorator collects while counting is on,
+// split by scope.
 struct CpuSink {
   struct Bucket {
     wfa::WfaCounters work;
     cpu::simd::SimdStats simd;
-    double align_s = 0;
   };
   std::mutex mutex;
+  std::atomic<bool> counting{false};
   Bucket buckets[2];  // [kScoreOnly, kFull]
 
   Bucket& bucket(AlignmentScope scope) {
@@ -222,11 +223,13 @@ struct CpuSink {
   }
 };
 
-// Wraps the real CPU backend: records a "cpu.align_batch" span per run,
-// takes the exact WFA/SIMD counters from CpuBatchAligner::align_batch and
-// returns the same results the registry backend would. The timings carry
-// the measured wall time only (no roofline projection): traced runs report
-// no modeled numbers.
+// Wraps the real CPU backend: records a "cpu.align_batch" span around
+// CpuBatchAligner::run, the call the registry backend makes, so a traced
+// pass does the untraced pass's work (the SIMD model sample included).
+// While the sink is counting (untimed warm-up passes only), each batch is
+// aligned once more with CpuBatchAligner::align_batch, outside the span,
+// for the exact WFA/SIMD counters: they depend on the pairs alone, so one
+// counted pass gives every pass's counts.
 class TracedCpu final : public align::BatchAligner {
  public:
   TracedCpu(const align::BatchOptions& options, Tracer& tracer, CpuSink& sink,
@@ -237,29 +240,20 @@ class TracedCpu final : public align::BatchAligner {
                   ThreadPool* pool) override {
     const u64 id = next_id_.fetch_add(1);
     const std::int64_t start = now_ns();
-    cpu::CpuBatchResult native;
+    BatchResult out;
     {
       ScopedSpan span(tracer_, "cpu.align_batch", id);
-      native = inner_.align_batch(batch, scope, pool);
+      out = inner_.run(batch, scope, pool);
     }
     if (hook_) hook_(batch, start);
-    {
+    if (sink_.counting.load()) {
+      const cpu::CpuBatchResult counted =
+          inner_.align_batch(batch, scope, pool);
       std::lock_guard<std::mutex> lock(sink_.mutex);
       CpuSink::Bucket& b = sink_.bucket(scope);
-      b.work.merge(native.work);
-      b.simd.merge(native.simd);
-      b.align_s += native.seconds;
+      b.work.merge(counted.work);
+      b.simd.merge(counted.simd);
     }
-    BatchResult out;
-    out.backend = inner_.name();
-    out.results = std::move(native.results);
-    out.timings.wall_seconds = native.seconds;
-    out.timings.cpu_wall_seconds = native.seconds;
-    out.timings.pairs = batch.size();
-    out.timings.materialized = batch.size();
-    out.timings.cpu_pairs = batch.size();
-    out.timings.cpu_fraction = 1.0;
-    out.timings.peak_wavefront_bytes = native.work.peak_wavefront_bytes;
     return out;
   }
   std::string name() const override { return inner_.name(); }
@@ -463,8 +457,21 @@ double engine_metrics(LayerReport& layers, const std::vector<Span>& parents,
   return (wall - busy) / passes;
 }
 
+// WFA/SIMD metrics from the counted warm-up pass, and cpu.align_s: the
+// backend spans under the traced `passes` spans, per pass.
 void cpu_metrics(LayerReport& layers, CpuSink& sink, AlignmentScope scope,
-                 double traced_passes) {
+                 const std::vector<Span>& passes,
+                 const std::vector<Span>& backend) {
+  std::unordered_map<u64, bool> is_pass;
+  for (const Span& pass : passes) is_pass[pass.id] = true;
+  double align_s = 0;
+  for (const Span& run : backend) {
+    if (is_pass.count(run.parent) != 0) {
+      align_s += static_cast<double>(run.duration_ns()) / 1e9;
+    }
+  }
+  layers.set("cpu.align_s",
+             ratio(align_s, static_cast<double>(passes.size())));
   std::lock_guard<std::mutex> lock(sink.mutex);
   const CpuSink::Bucket& b = sink.bucket(scope);
   const double aligned = static_cast<double>(b.work.alignments);
@@ -478,7 +485,6 @@ void cpu_metrics(LayerReport& layers, CpuSink& sink, AlignmentScope scope,
              ratio(static_cast<double>(b.work.backtrace_ops), aligned));
   layers.set("wfa.peak_wavefront_bytes",
              static_cast<double>(b.work.peak_wavefront_bytes));
-  layers.set("cpu.align_s", ratio(b.align_s, traced_passes));
   layers.set("simd.fast_path_frac", b.simd.fast_path_fraction());
 }
 
@@ -490,7 +496,8 @@ void write_trace(const RunConfig& config, const Tracer& tracer) {
 }
 
 // Alternates one untraced and one traced pass until `seconds` elapse
-// (at least twice); returns each side's pass seconds.
+// (at least twice); returns each side's pass seconds. Which side runs
+// first flips every pair, so that neither side always follows the other.
 struct Alternated {
   std::vector<double> untraced;
   std::vector<double> traced;
@@ -498,14 +505,20 @@ struct Alternated {
 template <class Plain, class Traced>
 Alternated alternate(double seconds, Plain&& plain, Traced&& traced) {
   Alternated out;
+  auto time = [](auto&& pass, std::vector<double>& samples) {
+    const std::int64_t start = now_ns();
+    pass();
+    samples.push_back(seconds_since(start));
+  };
   const std::int64_t begin = now_ns();
   while (out.traced.size() < 2 || seconds_since(begin) < seconds) {
-    std::int64_t start = now_ns();
-    plain();
-    out.untraced.push_back(seconds_since(start));
-    start = now_ns();
-    traced();
-    out.traced.push_back(seconds_since(start));
+    if (out.traced.size() % 2 == 0) {
+      time(plain, out.untraced);
+      time(traced, out.traced);
+    } else {
+      time(traced, out.traced);
+      time(plain, out.untraced);
+    }
   }
   return out;
 }
@@ -575,13 +588,11 @@ RunReport fig1_cpu(const RunConfig& config) {
       report.failed += mismatches(result.results, reference.results);
     }
   };
-  traced_pass(AlignmentScope::kFull);  // warm-up of the traced engine
+  // Warm-up of the traced engine; its full pass is the counted one.
+  sink.counting = true;
+  traced_pass(AlignmentScope::kFull);
+  sink.counting = false;
   traced_pass(AlignmentScope::kScoreOnly);
-  {
-    std::lock_guard<std::mutex> lock(sink.mutex);
-    sink.buckets[0] = {};
-    sink.buckets[1] = {};
-  }
   const usize warm_spans = tracer.spans().size();
 
   LayerReport layers;
@@ -607,10 +618,10 @@ RunReport fig1_cpu(const RunConfig& config) {
   }
   std::vector<double> full_s;
   for (const Span& s : full) full_s.push_back(s.duration_ns() / 1e9);
-  engine_metrics(layers, full, tracer.named("cpu.align_batch"),
-                 tracer.spans());
+  const std::vector<Span> backend = tracer.named("cpu.align_batch");
+  engine_metrics(layers, full, backend, tracer.spans());
   const double traced = static_cast<double>(full.size());
-  cpu_metrics(layers, sink, AlignmentScope::kFull, traced);
+  cpu_metrics(layers, sink, AlignmentScope::kFull, full, backend);
   layers.set("cpu.thread_us_per_pair",
              ratio(traced_cpu_s * 1e6,
                    traced * static_cast<double>(pairs.size())));
@@ -929,18 +940,16 @@ RunReport stream_small(const RunConfig& config) {
   options.scope = AlignmentScope::kScoreOnly;
   options.max_queued_pairs = kMaxQueuedPairs;
 
-  // One-shot reference on the registry backend the service runs; its
-  // modeled rate (the SIMD work model: deterministic for given pairs) is
-  // the workload's modeled_pairs_per_s, as the service does not expose
-  // per-batch timings.
-  align::BatchOptions one_shot = options.engine.batch;
-  one_shot.cpu_threads = kStreamWorkers;
-  BatchResult one_shot_result =
-      align::backend_registry()
-          .create("cpu", one_shot)
-          ->run(seq::ReadPairSpan(pairs), AlignmentScope::kScoreOnly);
+  // One-shot runs on the registry backend the service runs: the first is
+  // the reference; untraced runs repeat one per round for
+  // modeled_pairs_per_s, as the service does not expose per-batch timings.
+  align::BatchOptions one_shot_options = options.engine.batch;
+  one_shot_options.cpu_threads = kStreamWorkers;
+  const std::unique_ptr<align::BatchAligner> one_shot =
+      align::backend_registry().create("cpu", one_shot_options);
   const std::vector<AlignmentResult> reference =
-      std::move(one_shot_result.results);
+      one_shot->run(seq::ReadPairSpan(pairs), AlignmentScope::kScoreOnly)
+          .results;
   report.failed += check_against_gotoh(seq::ReadPairSpan(pairs), reference,
                                        AlignmentScope::kScoreOnly);
 
@@ -994,8 +1003,14 @@ RunReport stream_small(const RunConfig& config) {
     // across the whole run instead of one half each.
     std::vector<double> latency_ms;
     std::vector<double> passes;
+    std::vector<double> modeled;
     const double round_s = config.seconds / kStreamRounds;
     for (int round = 0; round < kStreamRounds; ++round) {
+      BatchResult result =
+          one_shot->run(seq::ReadPairSpan(pairs), AlignmentScope::kScoreOnly);
+      report.attempted += pairs.size();
+      report.failed += mismatches(result.results, reference);
+      modeled.push_back(result.timings.throughput());
       const OpenLoopResult open = open_loop(*service, pairs, reference,
                                             round_s / 4, nullptr, report);
       latency_ms.insert(latency_ms.end(), open.latency_ms.begin(),
@@ -1007,7 +1022,7 @@ RunReport stream_small(const RunConfig& config) {
     e2e.pairs_per_s = static_cast<double>(pairs.size()) / median(passes);
     e2e.reads_per_s = e2e.pairs_per_s;
     e2e.latency_p50 = quantile(latency_ms, 0.5);
-    e2e.modeled_pairs_per_s = one_shot_result.timings.throughput();
+    e2e.modeled_pairs_per_s = median(modeled);
     e2e.recall = 1.0 - ratio(static_cast<double>(report.failed),
                              static_cast<double>(report.attempted));
     fill_end_to_end(report, e2e);
@@ -1024,11 +1039,10 @@ RunReport stream_small(const RunConfig& config) {
             trace.on_run(batch, start);
           }),
       options);
-  saturating(traced_service, nullptr);  // warm-up of the traced service
-  {
-    std::lock_guard<std::mutex> lock(sink.mutex);
-    sink.buckets[0] = {};
-  }
+  // Warm-up of the traced service, and the counted pass.
+  sink.counting = true;
+  saturating(traced_service, nullptr);
+  sink.counting = false;
   trace.parse_s = 0;
   trace.admit_wait_ms.clear();
 
@@ -1059,9 +1073,11 @@ RunReport stream_small(const RunConfig& config) {
              ratio(median(runs.traced), median(runs.untraced)) - 1.0);
   // Backend spans of the warm-up have no phase span as parent, so the
   // per-phase matching below leaves them out.
-  layers.set("service.self_s",
-             engine_metrics(layers, tracer.named("service.saturating"),
-                            tracer.named("cpu.align_batch"), tracer.spans()));
+  const std::vector<Span> saturating_passes =
+      tracer.named("service.saturating");
+  const std::vector<Span> backend = tracer.named("cpu.align_batch");
+  layers.set("service.self_s", engine_metrics(layers, saturating_passes,
+                                              backend, tracer.spans()));
   // The service's engine is only reachable through the service, so the
   // submit time of a batch is taken as the send time of the last request
   // it holds (open-loop phase, where admission blocks only under
@@ -1096,7 +1112,8 @@ RunReport stream_small(const RunConfig& config) {
   layers.set("load.latency_p99_ms", quantile(open.latency_ms, 0.99).value);
   layers.set("load.latency_samples",
              static_cast<double>(open.latency_ms.size()));
-  cpu_metrics(layers, sink, AlignmentScope::kScoreOnly, passes);
+  cpu_metrics(layers, sink, AlignmentScope::kScoreOnly, saturating_passes,
+              backend);
   layers.write_to(report);
   write_trace(config, tracer);
   return report;
@@ -1234,14 +1251,12 @@ RunReport map_repeats(const RunConfig& config) {
   map::MapperOptions traced_options = options;
   traced_options.backend = kTracedBackend;
   map::ReadMapper traced_mapper(reference, traced_options);
-  check(outcome(traced_mapper, traced_mapper.map(reads)));  // warm-up
-  {
-    std::lock_guard<std::mutex> lock(sink.mutex);
-    sink.buckets[1] = {};
-  }
+  // Warm-up of the traced mapper, and the counted pass.
+  sink.counting = true;
+  check(outcome(traced_mapper, traced_mapper.map(reads)));
+  sink.counting = false;
 
   std::vector<double> traced_wall;
-  std::vector<double> traced_verify;
   map::MapperStats traced_stats;
   const Alternated runs = alternate(config.seconds, plain, [&] {
     ScopedSpan pass(tracer, "map.map");
@@ -1249,11 +1264,22 @@ RunReport map_repeats(const RunConfig& config) {
     const std::int64_t start = now_ns();
     map::MapResult result = traced_mapper.map(reads);
     traced_wall.push_back(seconds_since(start));
-    traced_verify.push_back(result.stats.timings.wall_seconds);
     traced_stats = result.stats;
     tracer.set_root(0);
     check(outcome(traced_mapper, result));
   });
+
+  // Verification time of a pass: its backend spans.
+  const std::vector<Span> passes = tracer.named("map.map");
+  const std::vector<Span> backend = tracer.named("cpu.align_batch");
+  std::vector<double> traced_verify;
+  for (const Span& pass : passes) {
+    double verify = 0;
+    for (const Span& run : backend) {
+      if (run.parent == pass.id) verify += run.duration_ns() / 1e9;
+    }
+    traced_verify.push_back(verify);
+  }
 
   LayerReport layers;
   layers.set("trace.overhead",
@@ -1269,8 +1295,7 @@ RunReport map_repeats(const RunConfig& config) {
   layers.set("map.qualify_rate",
              ratio(static_cast<double>(traced_stats.qualified),
                    static_cast<double>(traced_stats.verified)));
-  cpu_metrics(layers, sink, AlignmentScope::kFull,
-              static_cast<double>(runs.traced.size()));
+  cpu_metrics(layers, sink, AlignmentScope::kFull, passes, backend);
   layers.write_to(report);
   write_trace(config, tracer);
   return report;
