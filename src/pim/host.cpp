@@ -183,15 +183,12 @@ PimBatchResult run_pipelined(const BatchRun& run,
   // and run at full rank parallelism.
   const usize ranks = system.ranks_spanned(0, run.logical);
 
-  // Fill phase: one header per DPU (the batch geometry is chunk-invariant)
-  // and the MRAM extents reserved so the overlapped stages can touch
-  // disjoint regions of one DPU concurrently.
+  // Fill phase: one header per DPU (the batch geometry is chunk-invariant).
   u64 header_bytes_unsimulated = 0;
   for (usize d = 0; d < run.simulated; ++d) {
     const auto [begin, end] = run.range_of(d);
     const BatchLayout layout = run.layout_for(end - begin);
     const BatchHeader& h = layout.header();
-    system.reserve_mram(d, layout.total_bytes());
     system.copy_to_mram(d, 0,
                         {reinterpret_cast<const u8*>(&h), sizeof(BatchHeader)});
   }
@@ -227,8 +224,8 @@ PimBatchResult run_pipelined(const BatchRun& run,
   std::vector<std::vector<u64>> launch_cycles(chunks);
 
   // Stage bodies. Each touches only its chunk's slice of every DPU, so
-  // stages of different chunks are data-race free once the MRAM extents
-  // are reserved.
+  // stages of different chunks touch disjoint MRAM byte ranges and are
+  // data-race free.
   auto scatter_chunk = [&](usize c) {
     std::vector<u8> record;
     u64 accounted = WfaDpuKernel::kLaunchArgBytes * static_cast<u64>(run.logical);

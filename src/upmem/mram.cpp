@@ -1,20 +1,30 @@
 #include "upmem/mram.hpp"
 
-#include <cstring>
+#include <sys/mman.h>
 
-#include "common/bits.hpp"
+#include <cerrno>
+#include <cstring>
+#include <system_error>
+
 #include "common/check.hpp"
 
 namespace pimwfa::upmem {
-namespace {
-
-constexpr u64 kGrowChunk = 64 * 1024;  // growth granularity
-
-}  // namespace
 
 Mram::Mram(u64 capacity_bytes) : capacity_(capacity_bytes) {
   PIMWFA_ARG_CHECK(capacity_bytes > 0, "MRAM capacity must be positive");
+  // MAP_NORESERVE: the bank is mostly never written, so charge commit only
+  // for the pages that are.
+  void* base =
+      ::mmap(nullptr, static_cast<usize>(capacity_), PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  const int err = errno;
+  PIMWFA_CHECK(base != MAP_FAILED,
+               "cannot map " << capacity_ << " bytes of simulated MRAM: "
+                             << std::generic_category().message(err));
+  store_ = static_cast<u8*>(base);
 }
+
+Mram::~Mram() { ::munmap(store_, static_cast<usize>(capacity_)); }
 
 void Mram::check_range(u64 addr, usize bytes) const {
   PIMWFA_HW_CHECK(addr <= capacity_ && bytes <= capacity_ - addr,
@@ -22,43 +32,23 @@ void Mram::check_range(u64 addr, usize bytes) const {
                                   << ") exceeds capacity " << capacity_);
 }
 
-void Mram::ensure(u64 end) {
-  if (end <= store_.size()) return;
-  store_.resize(static_cast<usize>(
-      std::min(capacity_, round_up_pow2(end, kGrowChunk))));
-}
-
 void Mram::read(u64 addr, void* dst, usize bytes) const {
   check_range(addr, bytes);
   if (bytes == 0) return;
-  const u64 have = store_.size();
-  if (addr >= have) {
-    std::memset(dst, 0, bytes);  // untouched DRAM reads as zero
-    return;
-  }
-  const usize from_store = static_cast<usize>(std::min<u64>(bytes, have - addr));
-  std::memcpy(dst, store_.data() + addr, from_store);
-  if (from_store < bytes) {
-    std::memset(static_cast<u8*>(dst) + from_store, 0, bytes - from_store);
-  }
-}
-
-void Mram::reserve(u64 end) {
-  check_range(0, static_cast<usize>(end));
-  ensure(end);
+  std::memcpy(dst, store_ + addr, bytes);
 }
 
 void Mram::write(u64 addr, const void* src, usize bytes) {
   check_range(addr, bytes);
   if (bytes == 0) return;
-  ensure(addr + bytes);
-  std::memcpy(store_.data() + addr, src, bytes);
-}
-
-void Mram::clear(u64 bytes) {
-  check_range(0, static_cast<usize>(bytes));
-  const u64 upto = std::min<u64>(bytes, store_.size());
-  std::memset(store_.data(), 0, static_cast<usize>(upto));
+  std::memcpy(store_ + addr, src, bytes);
+  const u64 end = addr + bytes;
+  u64 seen = touched_.load(std::memory_order_relaxed);
+  while (seen < end) {
+    if (touched_.compare_exchange_weak(seen, end, std::memory_order_relaxed)) {
+      break;
+    }
+  }
 }
 
 }  // namespace pimwfa::upmem

@@ -1,12 +1,15 @@
 // Simulated MRAM: the 64 MB DRAM bank private to one DPU.
 //
 // Byte-addressable from the host side and via the DPU's DMA engine.
-// Backing storage is grown lazily in chunks so instantiating thousands of
-// DPUs costs memory proportional to the data actually placed in them.
-// Out-of-bounds accesses throw HardwareFault.
+// Backed by one anonymous, lazily zero-filled mapping of the bank's full
+// capacity: the host kernel materializes only the pages actually written,
+// so host memory is proportional to the pages touched (not to the highest
+// address), and untouched addresses read as zero. The store never moves,
+// so concurrent accesses are safe as long as they touch disjoint byte
+// ranges. Out-of-bounds accesses throw HardwareFault.
 #pragma once
 
-#include <vector>
+#include <atomic>
 
 #include "common/types.hpp"
 
@@ -15,22 +18,19 @@ namespace pimwfa::upmem {
 class Mram {
  public:
   explicit Mram(u64 capacity_bytes);
+  ~Mram();
+  // Owns its mapping: a copy would alias it and unmap it twice.
+  Mram(const Mram&) = delete;
+  Mram& operator=(const Mram&) = delete;
 
   u64 capacity() const noexcept { return capacity_; }
-  // High-water mark of touched bytes (allocation footprint of the sim).
-  u64 touched() const noexcept { return store_.size(); }
+  // High-water mark of written bytes: the end of the highest write so far.
+  u64 touched() const noexcept {
+    return touched_.load(std::memory_order_relaxed);
+  }
 
   void read(u64 addr, void* dst, usize bytes) const;
   void write(u64 addr, const void* src, usize bytes);
-
-  // Pre-grow the backing store to cover [0, end). Concurrent disjoint-range
-  // read/write is safe only after the touched extent is reserved (lazy
-  // growth reallocates the store) - the pipelined host path reserves each
-  // DPU's batch extent before overlapping stages.
-  void reserve(u64 end);
-
-  // Zero the first `bytes` bytes (host-side convenience).
-  void clear(u64 bytes);
 
   template <typename T>
   T read_pod(u64 addr) const {
@@ -45,13 +45,11 @@ class Mram {
   }
 
  private:
-  void ensure(u64 end);
   void check_range(u64 addr, usize bytes) const;
 
   u64 capacity_;
-  mutable std::vector<u8> store_;  // grows lazily; reads past the high-water
-                                   // mark return zeros (fresh DRAM is zeroed
-                                   // by the host runtime)
+  u8* store_ = nullptr;  // capacity_ bytes, zero until written
+  std::atomic<u64> touched_{0};
 };
 
 }  // namespace pimwfa::upmem

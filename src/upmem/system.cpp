@@ -34,10 +34,6 @@ usize PimSystem::ranks_spanned(usize first_dpu, usize count) const noexcept {
   return last_rank - first_rank + 1;
 }
 
-void PimSystem::reserve_mram(usize index, u64 bytes) {
-  dpus_.at(index)->mram().reserve(bytes);
-}
-
 void PimSystem::copy_to_mram(usize dpu, u64 addr, std::span<const u8> data) {
   dpus_.at(dpu)->mram().write(addr, data.data(), data.size());
   MutexLock lock(stats_mutex_);

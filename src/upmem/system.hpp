@@ -6,8 +6,8 @@
 // The transfer and launch entry points are stage-granular and thread-safe
 // so the pipelined host path can run scatter(i+1), kernel(i) and
 // gather(i-1) concurrently: byte accounting is mutex-guarded, launches can
-// target a DPU subrange, and MRAM extents can be pre-reserved to make
-// concurrent disjoint-range access safe.
+// target a DPU subrange, and concurrent stages are safe as long as they
+// touch disjoint MRAM byte ranges.
 #pragma once
 
 #include <functional>
@@ -70,10 +70,6 @@ class PimSystem {
   Dpu& dpu(usize index) { return *dpus_.at(index); }
   const Dpu& dpu(usize index) const { return *dpus_.at(index); }
 
-  // Pre-grow DPU `index`'s MRAM store to cover [0, bytes). Required before
-  // overlapping host stages touch that DPU's MRAM concurrently.
-  void reserve_mram(usize index, u64 bytes);
-
   // --- host<->MRAM transfers (byte-accounted, thread-safe) -------------
   void copy_to_mram(usize dpu, u64 addr, std::span<const u8> data)
       PIMWFA_EXCLUDES(stats_mutex_);
@@ -120,9 +116,8 @@ class PimSystem {
   SystemConfig config_;
   CostModel cost_model_;
   // The DPU objects themselves are not guarded: concurrent stages touch
-  // disjoint, pre-reserved MRAM extents per the reserve_mram contract,
-  // and launches of one DPU never overlap its transfers (the pipeline
-  // schedule sequences them).
+  // disjoint MRAM byte ranges, and launches of one DPU never overlap its
+  // transfers (the pipeline schedule sequences them).
   std::vector<std::unique_ptr<Dpu>> dpus_;
   mutable Mutex stats_mutex_;
   mutable TransferStats to_device_ PIMWFA_GUARDED_BY(stats_mutex_);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sys/resource.h>
+#endif
+
 #include "align/verify.hpp"
 #include "pim/host.hpp"
 #include "pim/meta_space.hpp"
@@ -525,6 +529,34 @@ TEST(PimBatch, TimingBreakdownSane) {
   EXPECT_GT(t.work.instructions, 0u);
   EXPECT_GT(t.work.dma_calls, 0u);
 }
+
+#ifdef __linux__
+// Host memory per simulated DPU follows the MRAM pages a batch touches, not
+// the span up to the last tasklet's metadata arena near the top of each
+// 64 MB bank (~16k pages if zero-filled, more with regrowth copies). One
+// pair per tasklet puts every arena, the last one included, to work.
+TEST(PimBatch, MramFootprintFollowsTouchedPages) {
+  constexpr usize kSimDpus = 16;
+  constexpr usize kPairsPerDpu = 24;
+  PimOptions options;  // paper system, 24 tasklets, metadata in MRAM
+  options.simulate_dpus = kSimDpus;
+  options.virtual_total_pairs = options.system.nr_dpus() * kPairsPerDpu;
+  PimBatchAligner aligner(options);
+  const seq::ReadPairSet batch =
+      seq::fig1_dataset(kSimDpus * kPairsPerDpu, 0.02, 17);
+  auto minor_faults = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<usize>(usage.ru_minflt);
+  };
+  const usize before = minor_faults();
+  const PimBatchResult result =
+      aligner.align_batch(batch, AlignmentScope::kFull);
+  const usize faults_per_dpu = (minor_faults() - before) / kSimDpus;
+  expect_matches_host(batch, result, Penalties::defaults(), true);
+  EXPECT_LT(faults_per_dpu, 4096u) << "pages (16 MB) per simulated DPU";
+}
+#endif
 
 }  // namespace
 }  // namespace pimwfa::pim

@@ -4,7 +4,8 @@
 // in the thread-safety pass (common/thread_safety.hpp) from several
 // threads at once: BatchEngine's dispatcher counters and shared worker
 // pool, AlignService's admission/batcher/completer protocol against its
-// fixed arena ring, and the hybrid dispatcher's calibration cache. The
+// fixed arena ring, the hybrid dispatcher's calibration cache, and
+// PimSystem's transfers into one DPU's simulated MRAM. The
 // assertions are deliberately about *totals and determinism*, not
 // interleavings - the point of the suite is the instrumented run: the
 // TSan CI job (-DPIMWFA_SANITIZE=thread) executes it and fails on any
@@ -18,6 +19,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,9 +29,13 @@
 #include "align/batch_engine.hpp"
 #include "align/hybrid.hpp"
 #include "align/service.hpp"
+#include "common/bits.hpp"
+#include "common/thread_pool.hpp"
+#include "pim/layout.hpp"
 #include "seq/generator.hpp"
 #include "seq/view.hpp"
 #include "test_util.hpp"
+#include "upmem/system.hpp"
 
 namespace pimwfa {
 namespace {
@@ -276,6 +282,66 @@ TEST(RaceStress, HybridConcurrentDistinctShapeMisses) {
           << "a cached calibration must replay the exact split";
     }
   }
+}
+
+// --- PimSystem: concurrent transfers into one DPU's MRAM ------------------
+
+// The only rule for overlapped host stages is that they touch disjoint MRAM
+// byte ranges - nothing is reserved up front. Pool threads walk one 64 MB
+// bank upwards together, each owning every kThreads-th slice, from the
+// header to the last tasklet's metadata arena near the top of the bank:
+// a store that grew (reallocated) on writes past its high-water mark would
+// move under the other threads' copies.
+TEST(RaceStress, MramConcurrentDisjointTransfersUnreserved) {
+  constexpr usize kThreads = 4;
+  constexpr usize kSlices = 256;
+  constexpr usize kSliceBytes = 1024;
+
+  upmem::PimSystem system(upmem::SystemConfig::paper(), /*simulated_dpus=*/1);
+  pim::BatchLayout::Params params;
+  params.nr_pairs = 64;
+  params.nr_tasklets = system.config().max_tasklets;
+  params.max_pattern = 100;
+  params.max_text = 100;
+  const pim::BatchLayout layout =
+      pim::BatchLayout::plan(params, system.config().mram_bytes);
+  const u64 last_arena = layout.arena_addr(params.nr_tasklets - 1);
+  const u64 top = layout.total_bytes() - kSliceBytes;
+  auto slice_addr = [&](usize s) {
+    return round_down_pow2(top * s / (kSlices - 1), 8);
+  };
+  ASSERT_GE(slice_addr(kSlices - 1), last_arena);
+  ASSERT_LE(slice_addr(kSlices - 1) + kSliceBytes, system.config().mram_bytes);
+  auto pattern = [](usize s, usize i) {
+    return static_cast<u8>(s * 131 + i * 7 + 1);
+  };
+
+  std::atomic<usize> mismatches{0};
+  auto owner = [&](usize t) {
+    std::vector<u8> buf(kSliceBytes);
+    for (usize s = t; s < kSlices; s += kThreads) {
+      for (usize i = 0; i < kSliceBytes; ++i) buf[i] = pattern(s, i);
+      system.copy_to_mram(0, slice_addr(s), buf);
+    }
+    for (usize s = t; s < kSlices; s += kThreads) {
+      system.copy_from_mram(0, slice_addr(s), buf);
+      for (usize i = 0; i < kSliceBytes; ++i) {
+        if (buf[i] != pattern(s, i)) mismatches.fetch_add(1);
+      }
+    }
+  };
+  ThreadPool pool(kThreads);
+  std::vector<std::future<void>> done;
+  for (usize t = 0; t < kThreads; ++t) {
+    done.push_back(pool.submit([&, t] { owner(t); }));
+  }
+  for (auto& f : done) f.get();
+  EXPECT_EQ(mismatches.load(), 0u);
+
+  // Concurrent writes keep the high-water mark exact.
+  EXPECT_EQ(system.dpu(0).mram().touched(),
+            slice_addr(kSlices - 1) + kSliceBytes);
+  EXPECT_EQ(system.to_device().bytes, kSlices * kSliceBytes);
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <type_traits>
+#include <vector>
+
 #include "upmem/system.hpp"
 
 namespace pimwfa::upmem {
@@ -33,13 +38,24 @@ TEST(SystemConfig, ValidateRejectsBadValues) {
   EXPECT_THROW(config.validate(), InvalidArgument);
 }
 
+static_assert(!std::is_copy_constructible_v<Mram>);
+
 TEST(Mram, WriteReadRoundTrip) {
-  Mram mram(1 << 20);
   const u8 data[16] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
-  mram.write(4096, data, sizeof(data));
-  u8 out[16] = {};
-  mram.read(4096, out, sizeof(out));
-  EXPECT_EQ(std::memcmp(data, out, sizeof(data)), 0);
+  // Low in a small bank, and the last 8 bytes of a full 64 MB bank.
+  struct Case {
+    u64 capacity;
+    u64 addr;
+    usize bytes;
+  };
+  constexpr u64 kBank = 64ull << 20;
+  for (const Case& c : {Case{1 << 20, 4096, 16}, Case{kBank, kBank - 8, 8}}) {
+    Mram mram(c.capacity);
+    mram.write(c.addr, data, c.bytes);
+    u8 out[16] = {};
+    mram.read(c.addr, out, c.bytes);
+    EXPECT_EQ(std::memcmp(data, out, c.bytes), 0) << "addr " << c.addr;
+  }
 }
 
 TEST(Mram, UntouchedReadsZero) {
@@ -47,6 +63,13 @@ TEST(Mram, UntouchedReadsZero) {
   u8 out[8] = {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff};
   mram.read(512 * 1024, out, sizeof(out));
   for (u8 b : out) EXPECT_EQ(b, 0);
+  // The gap between two far-apart writes reads as zero too.
+  const u64 ones = ~u64{0};
+  mram.write_pod(64, ones);
+  mram.write_pod((1 << 20) - 64, ones);
+  std::vector<u8> gap((1 << 20) - 64 - 72, 0xff);
+  mram.read(72, gap.data(), gap.size());
+  EXPECT_EQ(std::count(gap.begin(), gap.end(), 0), std::ssize(gap));
 }
 
 TEST(Mram, LazyBackingGrowsWithWrites) {
@@ -56,6 +79,11 @@ TEST(Mram, LazyBackingGrowsWithWrites) {
   mram.write_pod(128, value);
   EXPECT_GT(mram.touched(), 0u);
   EXPECT_LT(mram.touched(), 1ull << 20);  // far below capacity
+  // touched() is the highest written end, whatever the write order.
+  mram.write_pod(40ull << 20, value);
+  mram.write_pod(8ull << 20, value);
+  mram.write_pod(4096, value);
+  EXPECT_EQ(mram.touched(), (40ull << 20) + sizeof(value));
 }
 
 TEST(Mram, BoundsFault) {
@@ -64,6 +92,10 @@ TEST(Mram, BoundsFault) {
   EXPECT_THROW(mram.write(1024, &byte, 1), HardwareFault);
   EXPECT_THROW(mram.read(1020, &byte, 8), HardwareFault);
   EXPECT_NO_THROW(mram.read(1016, &byte, 8));
+}
+
+TEST(Mram, UnmappableCapacityThrows) {
+  EXPECT_THROW(Mram(u64{1} << 62), Error);  // beyond any address space
 }
 
 TEST(Mram, PodHelpers) {
