@@ -11,7 +11,7 @@
 // stop finding true loci (recall).
 //
 //   ./bench_mapper
-//   ./bench_mapper --genome 250000 --reads 3000 --backend=cpu-simd
+//   ./bench_mapper --genome 250000 --reads 3000 --backend=hybrid
 //   ./bench_mapper --json BENCH_mapper.json
 #include <iostream>
 

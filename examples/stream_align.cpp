@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
   usize batch_pairs = 0;
   i64 batch_delay_ms = 0;
   usize queue_pairs = 0;
-  usize arenas = 0;
   try {
     flags = align::parse_batch_flags(cli, defaults);
     input = cli.get_string(
@@ -84,8 +83,6 @@ int main(int argc, char** argv) {
         "batch-delay-ms", 2, "service batch-latency watermark");
     queue_pairs = static_cast<usize>(cli.get_int(
         "queue-pairs", 4096, "admission high-watermark (backpressure)"));
-    arenas = static_cast<usize>(
-        cli.get_int("arenas", 0, "arena ring size (0 = auto)"));
   } catch (const Error& error) {
     // --help wins over a malformed flag (and a parse error must not
     // escape main as an uncaught exception).
@@ -147,7 +144,6 @@ int main(int argc, char** argv) {
   service_options.max_batch_pairs = batch_pairs;
   service_options.max_batch_delay = std::chrono::milliseconds(batch_delay_ms);
   service_options.max_queued_pairs = queue_pairs;
-  service_options.arenas = arenas;
   align::AlignService service(service_options);
 
   std::cout << "Streaming " << (input.empty() ? "<synthetic>" : input)

@@ -58,9 +58,8 @@ struct BatchOptions {
   // Route the CPU backend through the SIMD layer (cpu/simd/): vectorized
   // WFA kernels plus exact fast paths, bit-identical to the scalar path.
   // The dispatch level is the highest the build and host support, unless
-  // the PIMWFA_FORCE_SIMD environment variable pins a lower one. This is
-  // what the "cpu-simd" registry entry sets, and the hybrid backend's
-  // CPU share inherits it.
+  // the PIMWFA_FORCE_SIMD environment variable pins a lower one. The
+  // hybrid backend's CPU share inherits it.
   bool cpu_simd = false;
   // Fast-path gate: maximum edits a SIMD fast path may absorb before the
   // pair falls back to the full WFA (0 = auto, see simd::FastPathConfig).

@@ -1,6 +1,7 @@
 #include "align/batch_engine.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -27,30 +28,49 @@ BatchEngine::BatchEngine(std::unique_ptr<BatchAligner> backend,
 
 BatchEngine::~BatchEngine() = default;  // pool destructors drain the queues
 
+namespace {
+
+// The continuation behind the future-returning submit forms.
+BatchEngine::Done resolve(std::shared_ptr<std::promise<BatchResult>> promise) {
+  return [promise = std::move(promise)](BatchResult result,
+                                        std::exception_ptr error) {
+    if (error) {
+      promise->set_exception(std::move(error));
+    } else {
+      promise->set_value(std::move(result));
+    }
+  };
+}
+
+}  // namespace
+
 std::future<BatchResult> BatchEngine::submit(seq::ReadPairSpan batch,
                                              AlignmentScope scope) {
+  auto promise = std::make_shared<std::promise<BatchResult>>();
+  std::future<BatchResult> future = promise->get_future();
+  submit(batch, scope, resolve(std::move(promise)));
+  return future;
+}
+
+void BatchEngine::submit(seq::ReadPairSpan batch, AlignmentScope scope,
+                         Done done) {
   // Validate the borrow at dispatch, before any engine state changes: a
   // span that is already dangling fails synchronously in the caller's
   // frame (LifetimeError under PIMWFA_CHECKED_VIEWS), with the counters
-  // untouched.
+  // untouched. The span is captured by value - the caller's storage
+  // outlives `done` per the submit contract - so no base is copied on the
+  // way in.
   batch.check_valid();
-  // packaged_task is move-only; the shared_ptr wrapper makes the
-  // dispatcher task copyable (std::function requirement). The span is
-  // captured by value - the caller's storage outlives the future per the
-  // submit contract - so no base is copied on the way in.
-  auto task = std::make_shared<std::packaged_task<BatchResult()>>(
-      [this, batch, scope]() {
+  enqueue(
+      [this, batch, scope] {
         // Re-validate at task start: the async gap between dispatch and
         // execution is exactly where the borrow goes stale. A violation
-        // surfaces as LifetimeError through the future instead of the
-        // backend reading freed memory.
+        // reaches `done` as LifetimeError instead of the backend reading
+        // freed memory.
         batch.check_valid();
-        BatchResult result = backend_->run(batch, scope, workers_.get());
-        return result;
-      });
-  std::future<BatchResult> future = task->get_future();
-  enqueue(std::move(task));
-  return future;
+        return backend_->run(batch, scope, workers_.get());
+      },
+      std::move(done));
 }
 
 std::future<BatchResult> BatchEngine::submit(seq::ReadPairSet&& batch,
@@ -58,18 +78,17 @@ std::future<BatchResult> BatchEngine::submit(seq::ReadPairSet&& batch,
   // The set is moved (not copied) into shared ownership that the task
   // keeps alive until it has run; the backend still sees a view.
   auto owned = std::make_shared<seq::ReadPairSet>(std::move(batch));
-  auto task = std::make_shared<std::packaged_task<BatchResult()>>(
-      [this, owned, scope]() {
-        BatchResult result = backend_->run(*owned, scope, workers_.get());
-        return result;
-      });
-  std::future<BatchResult> future = task->get_future();
-  enqueue(std::move(task));
+  auto promise = std::make_shared<std::promise<BatchResult>>();
+  std::future<BatchResult> future = promise->get_future();
+  enqueue(
+      [this, owned, scope] {
+        return backend_->run(*owned, scope, workers_.get());
+      },
+      resolve(std::move(promise)));
   return future;
 }
 
-void BatchEngine::enqueue(
-    std::shared_ptr<std::packaged_task<BatchResult()>> task) {
+void BatchEngine::enqueue(std::function<BatchResult()> run, Done done) {
   // Counter discipline: both counters move together, and a dispatcher
   // that refuses the task (stopped pool) rolls them back before the
   // exception escapes - otherwise in_flight_ would read nonzero forever
@@ -77,13 +96,25 @@ void BatchEngine::enqueue(
   // because the task's completion decrement may run on a worker thread
   // the instant submit() returns.
   // Relaxed: the counters are observability-only (see the header note);
-  // the dispatcher hand-off and the future provide all the ordering the
-  // batch itself needs.
+  // the dispatcher hand-off provides all the ordering the batch itself
+  // needs.
   submitted_.fetch_add(1, std::memory_order_relaxed);
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   try {
-    dispatcher_->submit([this, task = std::move(task)] {
-      (*task)();
+    dispatcher_->submit([this, run = std::move(run), done = std::move(done)] {
+      BatchResult result;
+      std::exception_ptr error;
+      try {
+        result = run();
+      } catch (...) {
+        error = std::current_exception();
+      }
+      try {
+        done(std::move(result), std::move(error));
+      } catch (...) {
+        in_flight_.fetch_sub(1, std::memory_order_relaxed);
+        throw;
+      }
       in_flight_.fetch_sub(1, std::memory_order_relaxed);
     });
   } catch (...) {

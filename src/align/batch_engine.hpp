@@ -5,11 +5,12 @@
 // worker pool handed to every BatchAligner::run call, so per-batch pool
 // construction - what the CPU baseline and the PIM simulator used to pay
 // on every align_batch - happens once per engine instead. submit() hands
-// a batch to the dispatcher and returns a future immediately; up to
-// max_in_flight batches execute concurrently against the (thread-safe)
-// backend. run_sharded() demonstrates the read-mapper-shaped consumer:
-// split one large batch into shards, keep them all in flight, and merge
-// the per-shard results back in input order.
+// a batch to the dispatcher and returns at once, with a future or after
+// registering a continuation; up to max_in_flight batches execute
+// concurrently against the (thread-safe) backend. run_sharded()
+// demonstrates the read-mapper-shaped consumer: split one large batch
+// into shards, keep them all in flight, and merge the per-shard results
+// back in input order.
 //
 // Lifecycle: construct (backend resolved through the registry by name) ->
 // submit()/run_sharded() freely from any thread -> wait_idle() or let the
@@ -17,6 +18,8 @@
 #pragma once
 
 #include <atomic>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -49,6 +52,11 @@ class BatchEngine {
   BatchEngine(const BatchEngine&) = delete;
   BatchEngine& operator=(const BatchEngine&) = delete;
 
+  // A batch's outcome: the backend's result, or a default result and the
+  // exception the run threw.
+  using Done =
+      std::function<void(BatchResult result, std::exception_ptr error)>;
+
   // Enqueue a batch view for asynchronous alignment; the future carries
   // the backend's BatchResult (or its exception). Zero-copy: the caller's
   // pair storage must stay alive and unmodified until the future
@@ -65,6 +73,13 @@ class BatchEngine {
   // backend).
   std::future<BatchResult> submit(seq::ReadPairSpan batch,
                                   AlignmentScope scope);
+  // Continuation form of the borrowing submit, with the same borrow
+  // contract and checks: `done` runs on the dispatcher thread right after
+  // the backend run returns - exactly once when submit returns normally,
+  // never when it throws - so the borrow ends when `done` does. Batches
+  // complete in any order. `done` should not throw: in_flight() still
+  // drops, but the exception is lost. The future forms ride this path.
+  void submit(seq::ReadPairSpan batch, AlignmentScope scope, Done done);
   // Owning overload: moves the set into the in-flight task (no base is
   // copied), so the caller may drop its handle immediately.
   std::future<BatchResult> submit(seq::ReadPairSet&& batch,
@@ -74,6 +89,8 @@ class BatchEngine {
   // ReadPairSpan(set) or hand the set over with std::move(set).
   std::future<BatchResult> submit(const seq::ReadPairSet& batch,
                                   AlignmentScope scope) = delete;
+  void submit(const seq::ReadPairSet& batch, AlignmentScope scope,
+              Done done) = delete;
 
   // Split `batch` into `shards` contiguous sub-views (O(1) each - the
   // parent storage is borrowed until the call returns), submit them all
@@ -92,13 +109,15 @@ class BatchEngine {
   BatchResult run_sharded(seq::ReadPairSpan batch, AlignmentScope scope,
                           usize shards);
 
-  // Block until every submitted batch has completed.
+  // Block until every submitted batch has completed, continuation
+  // included.
   void wait_idle();
 
   // Batches submitted but not yet completed. Observability counters, not
   // synchronization: they are updated and read with relaxed ordering (a
   // reader learns the count, never "the batch's results are visible").
-  // Completion is published by the future / wait_idle(), not by these.
+  // Completion is published by the future, the continuation or
+  // wait_idle(), not by these.
   usize in_flight() const noexcept {
     return in_flight_.load(std::memory_order_relaxed);
   }
@@ -110,11 +129,11 @@ class BatchEngine {
   std::string backend_name() const { return backend_->name(); }
 
  private:
-  // Shared tail of both submit overloads: moves the counters and hands
-  // the task to the dispatcher, rolling the counters back when the
-  // dispatcher refuses the task (exception safety of submitted_ /
-  // in_flight_).
-  void enqueue(std::shared_ptr<std::packaged_task<BatchResult()>> task);
+  // Shared tail of every submit form: moves the counters and hands the
+  // dispatcher a task that runs `run`, then `done` with its outcome.
+  // Rolls the counters back when the dispatcher refuses the task
+  // (exception safety of submitted_ / in_flight_).
+  void enqueue(std::function<BatchResult()> run, Done done);
 
   std::unique_ptr<BatchAligner> backend_;
   // Nonzero when the registry-constructed backend models virtual batches
@@ -126,7 +145,7 @@ class BatchEngine {
   std::unique_ptr<ThreadPool> dispatcher_;
   // Relaxed atomics (see in_flight()/submitted()): incremented together
   // in enqueue() before the dispatcher hand-off, decremented by the task
-  // on completion - possibly before submit() even returns.
+  // once `done` returns - possibly before submit() even returns.
   std::atomic<usize> in_flight_{0};
   std::atomic<usize> submitted_{0};
 };

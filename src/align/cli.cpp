@@ -42,7 +42,7 @@ BatchFlags parse_batch_flags(Cli& cli, const BatchFlags& defaults) {
                      "hybrid CPU share (negative = calibrate)");
   o.cpu_simd = cli.get_bool(
       "cpu-simd", d.cpu_simd,
-      "route CPU-side alignment through the SIMD layer (cpu-simd)");
+      "route CPU-side alignment through the SIMD layer");
   o.cpu_simd_edit_threshold = static_cast<usize>(cli.get_int(
       "simd-threshold", static_cast<i64>(d.cpu_simd_edit_threshold),
       "SIMD fast-path edit threshold (0 = auto)"));
@@ -62,16 +62,6 @@ BatchFlags parse_batch_flags(Cli& cli, const BatchFlags& defaults) {
       cli.get_int("seed", static_cast<i64>(defaults.seed), "dataset seed"));
   out.score_only = cli.get_bool("score-only", defaults.score_only,
                                 "skip CIGAR backtraces");
-
-  // --pipeline on a synchronous PIM backend means "the pipelined one":
-  // promote here so every consumer of the shared flag agrees (the "pim" /
-  // "pim-packed" factories themselves pin the synchronous path). The
-  // packed transfer format survives the promotion as an option.
-  if (o.pim_pipeline &&
-      (out.backend == "pim" || out.backend == "pim-packed")) {
-    if (out.backend == "pim-packed") o.pim_packed = true;
-    out.backend = "pim-pipelined";
-  }
 
   if (!cli.help_requested()) {
     if (!backend_registry().contains(out.backend)) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <memory>
 #include <utility>
 
 #include "common/check.hpp"
@@ -61,17 +62,15 @@ AlignService::AlignService(std::unique_ptr<BatchAligner> backend,
 
 void AlignService::start() {
   options_.validate();
-  const usize arena_count =
-      options_.arenas ? options_.arenas : options_.engine.max_in_flight + 1;
+  const usize arena_count = options_.engine.max_in_flight + 1;
   {
-    // No concurrency yet (the threads start below); the lock is taken for
+    // No concurrency yet (the batcher starts below); the lock is taken for
     // the annotation's benefit, and because it costs nothing here.
     MutexLock lock(mutex_);
     arenas_ = std::vector<seq::ReadPairSet>(arena_count);
     for (usize i = 0; i < arena_count; ++i) free_arenas_.push_back(i);
   }
   batcher_ = std::thread([this] { batcher_loop(); });
-  completer_ = std::thread([this] { completer_loop(); });
 }
 
 AlignService::~AlignService() {
@@ -81,12 +80,12 @@ AlignService::~AlignService() {
   }
   work_cv_.notify_all();
   admission_cv_.notify_all();
-  // The batcher flushes the forming batch, drains pending_, then sets
-  // batcher_done_; the completer exits once the in-flight queue drains.
+  // The batcher dispatches the forming batch and all of pending_ before
+  // it exits; the continuations of those batches then resolve every
+  // request. They lock mutex_, which engine_ outlives, so wait for them
+  // here rather than in engine_'s destructor.
   batcher_.join();
-  completer_.join();
-  // engine_ destruction drains anything still executing (nothing should
-  // be: the completer consumed every submitted batch's future).
+  engine_->wait_idle();
 }
 
 std::shared_ptr<detail::ServiceRequest> AlignService::make_request(
@@ -271,38 +270,38 @@ void AlignService::dispatch(MutexLock& lock,
   peak_resident_pairs_ = std::max(peak_resident_pairs_, resident_pairs_);
   ++batches_;
 
-  detail::InFlightBatch batch;
-  batch.arena = arena_idx;
-  batch.pairs = offset;
-  batch.shares = std::move(live);
+  // Shared with the continuation, and kept here for the submit error path.
+  auto batch = std::make_shared<detail::InFlightBatch>();
+  batch->arena = arena_idx;
+  batch->pairs = offset;
+  batch->shares = std::move(live);
 
   // The span is taken under the lock, after the arena is fully built
   // (every add() bumped its generation) - it reads the guarded arena's
-  // storage pointer. Only the engine hand-off itself runs unlocked: it
-  // can block on dispatcher capacity, and admission/completion must keep
-  // flowing meanwhile. The batch owns the arena until the completer
-  // recycles it, so nothing mutates what the span points at.
+  // storage pointer. Only the engine hand-off itself runs unlocked, so
+  // admission and completion keep flowing meanwhile. The batch owns the
+  // arena until its continuation recycles it, so nothing mutates what the
+  // span points at.
   const seq::ReadPairSpan arena_span{arena};
-  std::future<BatchResult> future;
   std::exception_ptr submit_error;
   lock.unlocked([&] {
     try {
-      future = engine_->submit(arena_span, options_.scope);
+      engine_->submit(arena_span, options_.scope,
+                      [this, batch](BatchResult result,
+                                    std::exception_ptr error) {
+                        complete(*batch, std::move(result), std::move(error));
+                      });
     } catch (...) {
       submit_error = std::current_exception();
     }
   });
 
   if (submit_error) {
-    for (auto& share : batch.shares) {
+    for (auto& share : batch->shares) {
       finish_exceptionally(*share.request, submit_error, &failed_);
     }
-    recycle_arena(arena_idx, batch.pairs);
-    return;
+    recycle_arena(batch->arena, batch->pairs);
   }
-  batch.future = std::move(future);
-  inflight_.push_back(std::move(batch));
-  inflight_cv_.notify_one();
 }
 
 void AlignService::batcher_loop() {
@@ -354,83 +353,56 @@ void AlignService::batcher_loop() {
     dispatch(lock, forming);
     forming_pairs = 0;
   }
-  batcher_done_ = true;
-  inflight_cv_.notify_all();
 }
 
-void AlignService::completer_loop() {
+void AlignService::complete(const detail::InFlightBatch& batch,
+                            BatchResult result, std::exception_ptr error) {
+  const Clock::time_point now = Clock::now();
   MutexLock lock(mutex_);
-  while (true) {
-    inflight_cv_.wait(lock, [this] {
-      mutex_.assert_held();  // predicate runs under CondVar::wait's lock
-      return !inflight_.empty() || batcher_done_;
-    });
-    if (inflight_.empty()) {
-      if (batcher_done_) return;
+  for (const auto& share : batch.shares) {
+    detail::ServiceRequest& request = *share.request;
+    if (request.cancelled.load(std::memory_order_acquire)) {
+      finish_exceptionally(
+          request,
+          std::make_exception_ptr(RequestCancelled(
+              "request cancelled before its batch resolved")),
+          &cancelled_);
       continue;
     }
-    detail::InFlightBatch batch = std::move(inflight_.front());
-    inflight_.pop_front();
-
-    // Block on the batch outside the lock: admission and batch formation
-    // keep running while this batch executes.
-    BatchResult result;
-    std::exception_ptr error;
-    Clock::time_point now;
-    lock.unlocked([&] {
-      try {
-        result = batch.future.get();
-      } catch (...) {
-        error = std::current_exception();
-      }
-      now = Clock::now();
-    });
-
-    for (auto& share : batch.shares) {
-      detail::ServiceRequest& request = *share.request;
-      if (request.cancelled.load(std::memory_order_acquire)) {
-        finish_exceptionally(
-            request,
-            std::make_exception_ptr(RequestCancelled(
-                "request cancelled before its batch resolved")),
-            &cancelled_);
-        continue;
-      }
-      if (error) {
-        // The batch failed as a unit; every share sees the same error.
-        finish_exceptionally(request, error, &failed_);
-        continue;
-      }
-      if (request.deadline != kNoDeadline && now >= request.deadline) {
-        finish_exceptionally(
-            request,
-            std::make_exception_ptr(DeadlineExpired(
-                "request deadline expired before its results "
-                "were delivered")),
-            &expired_);
-        continue;
-      }
-      if (result.results.size() < share.offset + share.count) {
-        finish_exceptionally(
-            request,
-            std::make_exception_ptr(Error(
-                "backend materialized fewer results than the batch; the "
-                "service requires fully materialized backends")),
-            &failed_);
-        continue;
-      }
-      const auto begin = result.results.begin() +
-                         static_cast<std::ptrdiff_t>(share.offset);
-      std::vector<AlignmentResult> slice(
-          begin, begin + static_cast<std::ptrdiff_t>(share.count));
-      request.resolved.store(true, std::memory_order_release);
-      request.promise.set_value(std::move(slice));
-      ++completed_;
-      latency_ms_.add(ms_between(request.enqueue_time, now));
-      release_counters(request);
+    if (error) {
+      // The batch failed as a unit; every share sees the same error.
+      finish_exceptionally(request, error, &failed_);
+      continue;
     }
-    recycle_arena(batch.arena, batch.pairs);
+    if (request.deadline != kNoDeadline && now >= request.deadline) {
+      finish_exceptionally(
+          request,
+          std::make_exception_ptr(DeadlineExpired(
+              "request deadline expired before its results "
+              "were delivered")),
+          &expired_);
+      continue;
+    }
+    if (result.results.size() < share.offset + share.count) {
+      finish_exceptionally(
+          request,
+          std::make_exception_ptr(Error(
+              "backend materialized fewer results than the batch; the "
+              "service requires fully materialized backends")),
+          &failed_);
+      continue;
+    }
+    const auto begin = result.results.begin() +
+                       static_cast<std::ptrdiff_t>(share.offset);
+    std::vector<AlignmentResult> slice(
+        begin, begin + static_cast<std::ptrdiff_t>(share.count));
+    request.resolved.store(true, std::memory_order_release);
+    request.promise.set_value(std::move(slice));
+    ++completed_;
+    latency_ms_.add(ms_between(request.enqueue_time, now));
+    release_counters(request);
   }
+  recycle_arena(batch.arena, batch.pairs);
 }
 
 }  // namespace pimwfa::align

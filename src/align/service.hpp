@@ -10,16 +10,18 @@
 //   ingest --> [admission watermark] --> pending queue
 //          --> [batcher thread] forms batches by size/latency watermark,
 //              fills a recycled ReadPairSet arena, submits to the engine
-//          --> [completer thread] resolves per-request futures from the
-//              batch result, recycles the arena
+//          --> [batch continuation, on the engine's dispatcher thread
+//              as soon as the backend run returns] resolves per-request
+//              futures from the batch result, recycles the arena
 //
 // Memory stays bounded end to end: admission blocks (submit_wait) or
 // refuses (try_submit) above a high-watermark of admitted-but-unfinished
-// pairs/bases, and batch storage lives in a fixed ring of generation-
-// counted ReadPairSet arenas - an arena is cleared and reused only after
-// its batch future resolved, and under PIMWFA_CHECKED_VIEWS any recycle
-// that raced a live borrow surfaces as LifetimeError instead of a
-// use-after-free.
+// pairs/bases, and batch storage lives in a fixed ring of
+// engine.max_in_flight + 1 generation-counted ReadPairSet arenas (every
+// in-flight batch owns one while the next one forms) - an arena is
+// cleared and reused only after its batch completed, and under
+// PIMWFA_CHECKED_VIEWS any recycle that raced a live borrow surfaces as
+// LifetimeError instead of a use-after-free.
 //
 // Requests carry an optional deadline and can be cancelled; either
 // resolves that request's future exceptionally (DeadlineExpired /
@@ -84,11 +86,6 @@ struct ServiceOptions {
   // max_queued_pairs - is the one that fires first.
   u64 max_queued_bases = 64u << 20;
 
-  // ReadPairSet arenas in the recycling ring - the bound on resident
-  // batch storage. 0 = engine.max_in_flight + 1 (every in-flight batch
-  // owns an arena while the next one forms).
-  usize arenas = 0;
-
   // Throws InvalidArgument on out-of-range fields.
   void validate() const;
 };
@@ -112,8 +109,8 @@ namespace detail {
 
 // One admitted request. The pairs are owned here until the batcher moves
 // them into an arena; the promise is resolved exactly once, by whichever
-// of the batcher (swept dead), completer (batch resolved) or submit
-// error path reaches it first.
+// of the batcher (swept dead), the batch continuation (batch completed)
+// or the submit error path reaches it first.
 struct ServiceRequest {
   std::vector<seq::ReadPair> pairs;
   usize pair_count = 0;
@@ -134,7 +131,6 @@ struct BatchShare {
 };
 
 struct InFlightBatch {
-  std::future<BatchResult> future;
   usize arena = 0;  // arenas_ index holding this batch's pairs
   usize pairs = 0;
   std::vector<BatchShare> shares;
@@ -211,7 +207,10 @@ class AlignService {
  private:
   void start() PIMWFA_EXCLUDES(mutex_);
   void batcher_loop() PIMWFA_EXCLUDES(mutex_);
-  void completer_loop() PIMWFA_EXCLUDES(mutex_);
+  // The batch continuation: fans the outcome out to the batch's requests
+  // and recycles its arena.
+  void complete(const detail::InFlightBatch& batch, BatchResult result,
+                std::exception_ptr error) PIMWFA_EXCLUDES(mutex_);
 
   std::shared_ptr<detail::ServiceRequest> make_request(
       std::vector<seq::ReadPair> pairs,
@@ -227,24 +226,25 @@ class AlignService {
   void release_counters(detail::ServiceRequest& request)
       PIMWFA_REQUIRES(mutex_);
   void recycle_arena(usize arena, usize pairs) PIMWFA_REQUIRES(mutex_);
-  // Fills an arena from `forming`, submits it, queues the in-flight
-  // record; drops (and reacquires) `lock` around the engine hand-off.
+  // Fills an arena from `forming` and submits it with complete() as its
+  // continuation; drops (and reacquires) `lock` around the engine
+  // hand-off.
   void dispatch(MutexLock& lock, std::vector<detail::BatchShare>& forming)
       PIMWFA_REQUIRES(mutex_);
 
   ServiceOptions options_;
+  // Declared before the members batch continuations use, so destroyed
+  // after them: ~AlignService waits the engine idle before those go.
   std::unique_ptr<BatchEngine> engine_;
 
   mutable Mutex mutex_;
   CondVar work_cv_;       // batcher <- admission/flush/stop
   CondVar admission_cv_;  // producers <- counter release
   CondVar arena_cv_;      // batcher <- arena recycled
-  CondVar inflight_cv_;   // completer <- batch dispatched
   CondVar drain_cv_;      // drain() <- last resolution
 
   std::deque<std::shared_ptr<detail::ServiceRequest>> pending_
       PIMWFA_GUARDED_BY(mutex_);
-  std::deque<detail::InFlightBatch> inflight_ PIMWFA_GUARDED_BY(mutex_);
   // The arenas_ *vector* never resizes after start(); each element is
   // handed to exactly one in-flight batch at a time by the free-list
   // protocol below, and the engine reads its pairs through spans outside
@@ -255,7 +255,6 @@ class AlignService {
 
   bool stop_ PIMWFA_GUARDED_BY(mutex_) = false;
   bool flush_requested_ PIMWFA_GUARDED_BY(mutex_) = false;
-  bool batcher_done_ PIMWFA_GUARDED_BY(mutex_) = false;
 
   usize queued_pairs_ PIMWFA_GUARDED_BY(mutex_) = 0;  // admitted, unresolved
   u64 queued_bases_ PIMWFA_GUARDED_BY(mutex_) = 0;
@@ -276,7 +275,6 @@ class AlignService {
   SampleSet latency_ms_ PIMWFA_GUARDED_BY(mutex_);
 
   std::thread batcher_;
-  std::thread completer_;
 };
 
 }  // namespace pimwfa::align

@@ -122,11 +122,10 @@ class PIMWFA_SCOPED_CAPABILITY MutexLock {
 
   // Runs `body` with the mutex released, reacquiring before returning -
   // including on exception - so the surrounding scope's "locked"
-  // invariant survives. This is the shape of every blocking hand-off in
-  // the service (submit to the engine, wait on a batch future): the body
-  // must not touch any state guarded by this mutex, which the analysis
-  // cannot check across the gap (it models the capability as
-  // continuously held, the same abstraction it applies to
+  // invariant survives. This is the shape of the service's hand-off to
+  // the engine: the body must not touch any state guarded by this mutex,
+  // which the analysis cannot check across the gap (it models the
+  // capability as continuously held, the same abstraction it applies to
   // condition-variable waits).
   template <typename Body>
   auto unlocked(Body&& body) {

@@ -67,9 +67,7 @@ class CpuBatchAligner final : public align::BatchAligner {
   align::BatchResult run(seq::ReadPairSpan batch,
                          align::AlignmentScope scope,
                          ThreadPool* pool = nullptr) override;
-  std::string name() const override {
-    return options_.simd ? "cpu-simd" : "cpu";
-  }
+  std::string name() const override { return "cpu"; }
 
   const CpuBatchOptions& options() const noexcept { return options_; }
   // Dispatch level workers run at (kScalar unless options().simd).

@@ -1,4 +1,4 @@
-// Lane-batched pair classifier and the exact fast paths of the cpu-simd
+// Lane-batched pair classifier and the exact fast paths of the SIMD cpu
 // backend. Every shortcut taken here is *provably* the scalar WFA's
 // answer (see the proofs in simd.hpp); anything unproven falls through
 // to a WfaAligner running the vectorized kernels, so the backend is

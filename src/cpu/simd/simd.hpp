@@ -1,4 +1,4 @@
-// SIMD-accelerated CPU batch alignment (the `cpu-simd` backend).
+// SIMD-accelerated CPU batch alignment (the `cpu` backend with cpu_simd).
 //
 // Three pieces, all bit-identical to the scalar WFA by construction (the
 // differential harness enforces it at every dispatch level):
@@ -133,8 +133,8 @@ void mismatch_positions(SimdLevel level, std::string_view a,
 // bit-identical (scores and CIGARs) to WfaAligner with scalar kernels.
 // `results` must already have size >= end. Merges the fallback aligner's
 // work counters into `counters` and raises `allocator_high_water` to the
-// fallback arena's high water mark. This is the cpu-simd backend's
-// per-worker loop body.
+// fallback arena's high water mark. This is the SIMD cpu
+// backend's per-worker loop body.
 // `memory_mode` sets the fallback aligner's wavefront retention (fast
 // paths never touch the arena); kUltralow keeps long-read batches O(s).
 void align_range(seq::ReadPairSpan batch, usize begin, usize end,

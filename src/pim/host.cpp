@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <future>
+#include <functional>
 
 #include "align/penalties.hpp"
 #include "common/bits.hpp"
@@ -285,9 +285,8 @@ PimBatchResult run_pipelined(const BatchRun& run,
   };
 
   // Software pipeline: at tick t, scatter(t), kernel(t-1) and gather(t-2)
-  // are in flight together (on `pool` when it has workers to spare; the
-  // modeled timing is identical either way).
-  const bool concurrent = pool != nullptr && pool->size() >= 2;
+  // are in flight together (on `pool` when there is one; the modeled
+  // timing is identical either way).
   for (usize tick = 0; tick < chunks + 2; ++tick) {
     std::vector<std::function<void()>> stages;
     if (tick < chunks) stages.push_back([&, tick] { scatter_chunk(tick); });
@@ -297,21 +296,13 @@ PimBatchResult run_pipelined(const BatchRun& run,
     if (tick >= 2 && tick - 2 < chunks) {
       stages.push_back([&, tick] { gather_chunk(tick - 2); });
     }
-    if (concurrent) {
-      std::vector<std::future<void>> inflight;
-      inflight.reserve(stages.size());
-      for (auto& stage : stages) inflight.push_back(pool->submit(stage));
-      std::exception_ptr first_error;
-      for (auto& f : inflight) {
-        try {
-          f.get();
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-      if (first_error) std::rethrow_exception(first_error);
+    const auto run_stages = [&stages](usize begin, usize end) {
+      for (usize s = begin; s < end; ++s) stages[s]();
+    };
+    if (pool != nullptr) {
+      pool->parallel_for(stages.size(), run_stages);
     } else {
-      for (auto& stage : stages) stage();
+      run_stages(0, stages.size());
     }
   }
 
@@ -563,12 +554,6 @@ PimBatchAligner::PimBatchAligner(PimOptions options)
 
 PimBatchAligner::PimBatchAligner(const align::BatchOptions& batch)
     : PimBatchAligner(PimOptions::from(batch)) {}
-
-std::string PimBatchAligner::name() const {
-  if (options_.pipeline) return "pim-pipelined";
-  if (options_.packed_sequences) return "pim-packed";
-  return "pim";
-}
 
 bool PimBatchAligner::needs_tiling(seq::ReadPairSpan batch,
                                    align::AlignmentScope scope) const {

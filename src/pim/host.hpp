@@ -156,7 +156,7 @@ class PimBatchAligner final : public align::BatchAligner {
   align::BatchResult run(seq::ReadPairSpan batch,
                          align::AlignmentScope scope,
                          ThreadPool* pool = nullptr) override;
-  std::string name() const override;
+  std::string name() const override { return "pim"; }
 
   const PimOptions& options() const noexcept { return options_; }
 

@@ -483,7 +483,7 @@ INSTANTIATE_TEST_SUITE_P(
 // BatchEngine::run_sharded carves one batch into O(1) sub-views and keeps
 // them in flight concurrently; the merged results must be bit-identical
 // (scores + CIGARs) and in input order vs. the unsharded owning path, on
-// every registered backend, with zero bases copied by the carve.
+// every backend variant, with zero bases copied by the carve.
 
 class ShardedViewDifferential : public ::testing::TestWithParam<DiffConfig> {
 };
@@ -503,16 +503,19 @@ TEST_P(ShardedViewDifferential, ShardedViewsMatchTheUnshardedOwningPath) {
   options.cpu_per_pair_seconds = 5e-6;
 
   align::BackendRegistry& registry = align::backend_registry();
-  for (const char* key :
-       {"cpu", "pim", "pim-pipelined", "pim-packed", "hybrid"}) {
+  for (const pimwfa::testing::BackendVariant& variant :
+       pimwfa::testing::backend_variants()) {
+    const std::string key = variant.name();
+    const align::BatchOptions variant_options = variant.applied_to(options);
     // The owning path: the whole set handed to the backend in one run.
     const align::BatchResult unsharded =
-        registry.create(key, options)->run(batch, AlignmentScope::kFull);
+        registry.create(variant.key, variant_options)
+            ->run(batch, AlignmentScope::kFull);
     ASSERT_EQ(unsharded.results.size(), batch.size()) << key;
 
     align::BatchEngineOptions engine_options;
-    engine_options.backend = key;
-    engine_options.batch = options;
+    engine_options.backend = variant.key;
+    engine_options.batch = variant_options;
     engine_options.max_in_flight = 3;
     engine_options.workers = 2;
     align::BatchEngine engine(engine_options);
@@ -541,12 +544,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- SIMD CPU layer ------------------------------------------------------
 //
-// The cpu-simd backend promises bit-identity with cpu: vector kernels and
+// The SIMD cpu backend promises bit-identity with cpu: vector kernels and
 // fast paths may only change how the optimum is found, never which optimum
 // (score AND CIGAR) is reported. The sweep pins every dispatch level this
 // build+host can execute, both through the layer API directly and through
-// the registry entry under PIMWFA_FORCE_SIMD - exactly how the CI matrix
-// legs drive it.
+// the registry's cpu backend with cpu_simd under PIMWFA_FORCE_SIMD -
+// exactly how the CI matrix legs drive it.
 
 class SimdDifferential : public ::testing::TestWithParam<DiffConfig> {};
 
@@ -599,15 +602,18 @@ TEST_P(SimdDifferential, CpuSimdIsBitIdenticalToCpuAtEveryLevel) {
       }
     }
 
-    // The registry entry, dispatch forced through the environment knob.
+    // The registry backend, dispatch forced through the environment knob.
+    align::BatchOptions simd_options = options;
+    simd_options.cpu_simd = true;
     ASSERT_EQ(setenv("PIMWFA_FORCE_SIMD", name, 1), 0);
     const align::BatchResult simd_result =
-        registry.create("cpu-simd", options)->run(batch, AlignmentScope::kFull);
+        registry.create("cpu", simd_options)
+            ->run(batch, AlignmentScope::kFull);
     unsetenv("PIMWFA_FORCE_SIMD");
     ASSERT_EQ(simd_result.results.size(), batch.size());
     for (usize i = 0; i < batch.size(); ++i) {
       ASSERT_EQ(simd_result.results[i], cpu_result.results[i])
-          << "cpu-simd(" << name << ") vs cpu, "
+          << "cpu_simd(" << name << ") vs cpu, "
           << pair_diag(config, i, batch[i]);
     }
   }

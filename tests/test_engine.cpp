@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "align/batch_engine.hpp"
+#include "align/cli.hpp"
 #include "align/hybrid.hpp"
 #include "align/registry.hpp"
 #include "cpu/cpu_batch.hpp"
@@ -50,11 +51,9 @@ BatchOptions tiny_options() {
 
 TEST(BackendRegistry, BuiltinBackendsAreRegistered) {
   align::BackendRegistry& registry = align::backend_registry();
-  for (const char* name :
-       {"cpu", "pim", "pim-pipelined", "pim-packed", "hybrid"}) {
-    EXPECT_TRUE(registry.contains(name)) << name;
-  }
-  EXPECT_GE(registry.names().size(), 5u);
+  // One key per backend class; execution paths are BatchOptions flags.
+  EXPECT_EQ(registry.names(),
+            (std::vector<std::string>{"cpu", "pim", "hybrid"}));
   EXPECT_NE(registry.describe().find("hybrid"), std::string::npos);
 }
 
@@ -63,8 +62,7 @@ TEST(BackendRegistry, UnknownBackendThrowsWithKnownNames) {
     align::backend_registry().create("gpu", BatchOptions{});
     FAIL() << "expected InvalidArgument";
   } catch (const InvalidArgument& error) {
-    EXPECT_NE(std::string(error.what()).find("pim-pipelined"),
-              std::string::npos);
+    EXPECT_NE(std::string(error.what()).find("hybrid"), std::string::npos);
   }
 }
 
@@ -79,13 +77,34 @@ TEST(BackendRegistry, DuplicateRegistrationThrows) {
 }
 
 TEST(BackendRegistry, BackendNamesMatchTheirKeys) {
-  const seq::ReadPairSet batch = small_batch(24);
-  for (const std::string& key :
-       {std::string("cpu"), std::string("pim"), std::string("pim-pipelined"),
-        std::string("pim-packed"), std::string("hybrid")}) {
-    const auto backend =
-        align::backend_registry().create(key, tiny_options());
-    EXPECT_EQ(backend->name(), key);
+  for (const testing::BackendVariant& variant : testing::backend_variants()) {
+    const auto backend = align::backend_registry().create(
+        variant.key, variant.applied_to(tiny_options()));
+    EXPECT_EQ(backend->name(), variant.key) << variant.name();
+  }
+}
+
+// --- shared --backend flags -----------------------------------------------
+
+TEST(BatchFlags, PathFlagsSetOptionsUnderTheClassKey) {
+  const char* argv[] = {"prog", "--backend=pim", "--pipeline", "--packed"};
+  Cli cli(4, argv);
+  const align::BatchFlags flags = align::parse_batch_flags(cli);
+  EXPECT_EQ(flags.backend, "pim");
+  EXPECT_TRUE(flags.options.pim_pipeline);
+  EXPECT_TRUE(flags.options.pim_packed);
+}
+
+TEST(BatchFlags, PresetKeyThrowsListingTheClassKeys) {
+  const char* argv[] = {"prog", "--backend=cpu-simd"};
+  Cli cli(2, argv);
+  try {
+    (void)align::parse_batch_flags(cli);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find("cpu, pim, hybrid"),
+              std::string::npos)
+        << error.what();
   }
 }
 
@@ -122,9 +141,11 @@ TEST(UnifiedRun, PimBackendsMatchNativeAndEachOther) {
   const pim::PimBatchResult reference =
       native.align_batch(batch, AlignmentScope::kFull);
 
-  for (const char* key : {"pim", "pim-packed", "pim-pipelined"}) {
-    const auto backend =
-        align::backend_registry().create(key, tiny_options());
+  for (const testing::BackendVariant& variant : testing::backend_variants()) {
+    if (variant.key != "pim") continue;
+    const std::string key = variant.name();
+    const auto backend = align::backend_registry().create(
+        "pim", variant.applied_to(tiny_options()));
     const BatchResult unified = backend->run(batch, AlignmentScope::kFull);
     ASSERT_EQ(unified.results.size(), batch.size()) << key;
     for (usize i = 0; i < batch.size(); ++i) {
@@ -477,6 +498,21 @@ TEST(BatchEngine, BackendExceptionsPropagateThroughTheFuture) {
   EXPECT_THROW(future.get(), InvalidArgument);
   engine.wait_idle();
   EXPECT_EQ(engine.in_flight(), 0u);
+
+  // The continuation form sees the same error, and a continuation that
+  // throws itself still retires its batch.
+  const seq::ReadPairSet batch = small_batch(4);
+  std::exception_ptr seen;
+  engine.submit(seq::ReadPairSpan(batch), AlignmentScope::kScoreOnly,
+                [&seen](BatchResult, std::exception_ptr error) {
+                  seen = error;
+                  throw Error("continuation failed");
+                });
+  engine.wait_idle();
+  ASSERT_TRUE(seen);
+  EXPECT_THROW(std::rethrow_exception(seen), InvalidArgument);
+  EXPECT_EQ(engine.in_flight(), 0u);
+  EXPECT_EQ(engine.submitted(), 2u);
 }
 
 // --- options validation ---------------------------------------------------

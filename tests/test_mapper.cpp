@@ -15,6 +15,7 @@
 #include "map/reference.hpp"
 #include "seq/alphabet.hpp"
 #include "seq/generator.hpp"
+#include "test_util.hpp"
 
 namespace pimwfa::map {
 namespace {
@@ -314,12 +315,15 @@ struct Workload {
   }
 };
 
-MapperOptions backend_options(const std::string& backend) {
+// Mapper options for the backend_variants() entry named `variant`.
+MapperOptions backend_options(const std::string& variant) {
+  const pimwfa::testing::BackendVariant backend =
+      pimwfa::testing::backend_variant(variant);
   MapperOptions options;
-  options.backend = backend;
+  options.backend = backend.key;
   options.batch.cpu_threads = 2;
   options.batch.pim_dpus = 2;
-  if (backend == "cpu-simd") options.batch.cpu_simd = true;
+  options.batch = backend.applied_to(options.batch);
   return options;
 }
 
@@ -343,11 +347,9 @@ TEST_P(BitIdentity, FilteredMatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BitIdentity,
-                         ::testing::Values("cpu", "cpu-simd", "pim", "hybrid"),
+                         ::testing::Values("cpu", "cpu_simd", "pim", "hybrid"),
                          [](const auto& info) {
-                           std::string name = info.param;
-                           std::replace(name.begin(), name.end(), '-', '_');
-                           return name;
+                           return std::string(info.param);
                          });
 
 // All backends must agree with each other, not just with their own
@@ -357,7 +359,7 @@ TEST(BitIdentityAcrossBackends, AllBackendsAgree) {
   const MapResult reference =
       ReadMapper(workload.genome, backend_options("cpu"))
           .map(workload.queries);
-  for (const char* backend : {"cpu-simd", "pim", "hybrid"}) {
+  for (const char* backend : {"cpu_simd", "pim", "hybrid"}) {
     const MapResult other =
         ReadMapper(workload.genome, backend_options(backend))
             .map(workload.queries);

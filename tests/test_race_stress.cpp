@@ -3,7 +3,7 @@
 // Every test here hammers one of the mutex-guarded structures annotated
 // in the thread-safety pass (common/thread_safety.hpp) from several
 // threads at once: BatchEngine's dispatcher counters and shared worker
-// pool, AlignService's admission/batcher/completer protocol against its
+// pool, AlignService's admission/batcher/continuation protocol against its
 // fixed arena ring, the hybrid dispatcher's calibration cache, and
 // PimSystem's transfers into one DPU's simulated MRAM. The
 // assertions are deliberately about *totals and determinism*, not
@@ -164,8 +164,8 @@ TEST(RaceStress, ServiceMultiProducerSubmitCancelDeadline) {
   options.max_batch_pairs = 8;
   options.max_batch_delay = std::chrono::milliseconds(1);
   options.max_queued_pairs = 32;  // real backpressure under 4 producers
-  options.arenas = 2;             // recycle the ring hard
-  options.engine.max_in_flight = 2;
+  // Recycle the ring hard: max_in_flight + 1 = two arenas.
+  options.engine.max_in_flight = 1;
   options.engine.workers = 0;
   AlignService service(std::make_unique<SlowScoreBackend>(), options);
 

@@ -7,6 +7,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -141,30 +143,22 @@ class ScoreBackend final : public align::BatchAligner {
   std::string name() const override { return "score"; }
 };
 
-// Backend whose run() blocks until opened - holds batches (and their
-// arenas and queue accounting) in flight so backpressure is observable.
-class GateBackend final : public align::BatchAligner {
+// Holds backend runs until opened - keeps batches (and their arenas and
+// queue accounting) in flight so backpressure and completion order are
+// observable. The first `gated` runs wait; later ones pass straight
+// through. The test owns it apart from the backend, so it can be opened
+// while the service (and the backend with it) is being destroyed.
+class Gate {
  public:
-  BatchResult run(seq::ReadPairSpan batch, AlignmentScope,
-                  ThreadPool*) override {
-    {
-      std::unique_lock lock(mutex_);
-      ++entered_;
-      cv_.notify_all();
-      cv_.wait(lock, [this] { return open_; });
-    }
-    BatchResult out;
-    out.backend = name();
-    out.results.resize(batch.size());
-    for (usize i = 0; i < batch.size(); ++i) {
-      out.results[i].score = static_cast<i64>(batch.pattern(i).size());
-    }
-    out.timings.pairs = batch.size();
-    out.timings.materialized = batch.size();
-    return out;
-  }
-  std::string name() const override { return "gate"; }
+  explicit Gate(usize gated = std::numeric_limits<usize>::max())
+      : gated_(gated) {}
 
+  void pass() {
+    std::unique_lock lock(mutex_);
+    const bool held = entered_++ < gated_;
+    cv_.notify_all();
+    if (held) cv_.wait(lock, [this] { return open_; });
+  }
   void open() {
     std::lock_guard lock(mutex_);
     open_ = true;
@@ -178,8 +172,25 @@ class GateBackend final : public align::BatchAligner {
  private:
   std::mutex mutex_;
   std::condition_variable cv_;
+  const usize gated_;
   bool open_ = false;
   usize entered_ = 0;
+};
+
+// ScoreBackend behind a Gate.
+class GateBackend final : public align::BatchAligner {
+ public:
+  explicit GateBackend(Gate& gate) : gate_(gate) {}
+
+  BatchResult run(seq::ReadPairSpan batch, AlignmentScope scope,
+                  ThreadPool* pool) override {
+    gate_.pass();
+    return ScoreBackend().run(batch, scope, pool);
+  }
+  std::string name() const override { return "gate"; }
+
+ private:
+  Gate& gate_;
 };
 
 std::vector<seq::ReadPair> n_pairs(usize n, usize length = 8) {
@@ -234,8 +245,9 @@ TEST(AlignService, StreamedResultsMatchDirectBackendRun) {
           .create("cpu", options.engine.batch)
           ->run(workload, AlignmentScope::kFull);
 
-  // Requests resolve FIFO, so concatenating per-request results must
-  // reproduce the whole-set run exactly.
+  // Each request resolves with its own slice of its batch, so
+  // concatenating per-request results must reproduce the whole-set run
+  // exactly.
   usize offset = 0;
   for (auto& handle : handles) {
     for (const align::AlignmentResult& result : handle.get()) {
@@ -256,15 +268,14 @@ TEST(AlignService, StreamedResultsMatchDirectBackendRun) {
 }
 
 TEST(AlignService, BackpressureEngagesAtWatermarkAndReleases) {
-  auto backend = std::make_unique<GateBackend>();
-  GateBackend& gate = *backend;
+  Gate gate;
   ServiceOptions options;
   options.max_batch_pairs = 4;
   options.max_batch_delay = std::chrono::milliseconds(0);
   options.max_queued_pairs = 8;  // two 4-pair requests fill the queue
   options.engine.max_in_flight = 1;
   options.engine.workers = 0;
-  AlignService service(std::move(backend), options);
+  AlignService service(std::make_unique<GateBackend>(gate), options);
 
   RequestHandle first = service.submit_wait(n_pairs(4));
   RequestHandle second = service.submit_wait(n_pairs(4));
@@ -295,6 +306,39 @@ TEST(AlignService, BackpressureEngagesAtWatermarkAndReleases) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.completed, 3u);
   EXPECT_LE(stats.peak_queued_pairs, 12u);
+}
+
+// Batches complete independently: one that finishes while an earlier
+// batch still runs resolves its requests at once instead of queueing
+// behind the earlier batch.
+TEST(AlignService, LaterBatchResolvesWhileEarlierBatchRuns) {
+  Gate gate(/*gated=*/1);
+  ServiceOptions options;
+  options.max_batch_pairs = 4;
+  options.max_batch_delay = std::chrono::milliseconds(0);
+  options.engine.max_in_flight = 2;
+  options.engine.workers = 0;
+  AlignService service(std::make_unique<GateBackend>(gate), options);
+
+  RequestHandle first = service.submit_wait(n_pairs(4));
+  gate.wait_entered(1);  // the first batch is now held in flight
+  RequestHandle second = service.submit_wait(n_pairs(4, 6));
+
+  // RequestHandle::wait() has no timeout; bound it through std::async.
+  std::future<void> waited =
+      std::async(std::launch::async, [&second] { second.wait(); });
+  const bool resolved_while_gated =
+      waited.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  gate.open();  // before any assertion, so a failure cannot hang the test
+  waited.get();
+  EXPECT_TRUE(resolved_while_gated)
+      << "the second batch's request waited behind the gated first batch";
+
+  const auto results = second.get();
+  ASSERT_EQ(results.size(), 4u);
+  EXPECT_EQ(results[0].score, 6);
+  EXPECT_EQ(first.get().size(), 4u);
+  EXPECT_EQ(service.stats().completed, 2u);
 }
 
 TEST(AlignService, ExpiredDeadlineDoesNotPoisonCoBatchedRequests) {
@@ -340,11 +384,10 @@ TEST(AlignService, CancelBeforeDispatchResolvesOnlyThatRequest) {
 }
 
 TEST(AlignService, CancelWhileInFlightResolvesExceptionally) {
-  auto backend = std::make_unique<GateBackend>();
-  GateBackend& gate = *backend;
+  Gate gate;
   ServiceOptions options = manual_flush_options();
   options.engine.workers = 0;
-  AlignService service(std::move(backend), options);
+  AlignService service(std::make_unique<GateBackend>(gate), options);
 
   RequestHandle cancelled = service.submit_wait(n_pairs(2));
   RequestHandle healthy = service.submit_wait(n_pairs(2, 7));
@@ -402,6 +445,25 @@ TEST(AlignService, DestructorResolvesPendingRequests) {
     // No flush: teardown itself must dispatch and resolve the request.
   }
   EXPECT_EQ(handle.get().size(), 2u);
+
+  // A batch still running at teardown: the destructor must wait for it,
+  // while another thread opens the gate.
+  Gate gate;
+  std::thread opener;
+  {
+    ServiceOptions options = manual_flush_options();
+    options.engine.workers = 0;
+    AlignService service(std::make_unique<GateBackend>(gate), options);
+    handle = service.submit_wait(n_pairs(3));
+    service.flush();
+    gate.wait_entered(1);
+    opener = std::thread([&gate] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      gate.open();
+    });
+  }
+  opener.join();
+  EXPECT_EQ(handle.get().size(), 3u);
 }
 
 TEST(AlignService, RejectsEmptyRequestsAndBadOptions) {
@@ -430,8 +492,8 @@ TEST(AlignService, ArenaRecyclingStressUnderCheckedViews) {
   options.max_batch_pairs = 16;
   options.max_batch_delay = std::chrono::milliseconds(0);
   options.max_queued_pairs = 48;
-  options.arenas = 2;  // recycle hard: only two arenas for the whole run
-  options.engine.max_in_flight = 2;
+  // Recycle hard: a ring of max_in_flight + 1 = two arenas for the run.
+  options.engine.max_in_flight = 1;
   options.engine.workers = 2;
   AlignService service(std::make_unique<ScoreBackend>(), options);
 
@@ -464,7 +526,7 @@ TEST(AlignService, ArenaRecyclingStressUnderCheckedViews) {
   EXPECT_EQ(ok.load() + lifetime_errors.load(),
             kProducers * kRequestsPerProducer);
   // The recycling discipline (arenas recycle only after their batch
-  // future resolves) means no borrow should ever actually go stale.
+  // completes) means no borrow should ever actually go stale.
   EXPECT_EQ(lifetime_errors.load(), 0u);
 
   const ServiceStats stats = service.stats();

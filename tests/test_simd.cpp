@@ -1,6 +1,6 @@
 // Unit tests of the SIMD layer (cpu/simd/): dispatch resolution, the
 // vectorized primitives against their scalar definitions, the lane-
-// batched fast-path classifier, and the cpu-simd backend's bit-identity
+// batched fast-path classifier, and the SIMD cpu backend's bit-identity
 // with the scalar cpu backend. The broad randomized sweeps live in
 // test_differential.cpp (SimdDifferential); these tests pin the exact
 // boundaries - block edges, tail lanes, degenerate pairs, the fast-path
@@ -386,10 +386,12 @@ TEST(SimdBackend, RegistryEntryMatchesCpuBitForBit) {
 
   align::BatchOptions options;
   options.cpu_threads = 2;
+  align::BatchOptions simd_options = options;
+  simd_options.cpu_simd = true;
   const auto cpu_backend = align::backend_registry().create("cpu", options);
   const auto simd_backend =
-      align::backend_registry().create("cpu-simd", options);
-  EXPECT_EQ(simd_backend->name(), "cpu-simd");
+      align::backend_registry().create("cpu", simd_options);
+  EXPECT_EQ(simd_backend->name(), "cpu");
 
   const auto want = cpu_backend->run(batch, AlignmentScope::kFull);
   const auto got = simd_backend->run(batch, AlignmentScope::kFull);
@@ -401,7 +403,7 @@ TEST(SimdBackend, RegistryEntryMatchesCpuBitForBit) {
     ASSERT_NO_THROW(align::verify_result(got.results[i], batch[i].pattern,
                                          batch[i].text, options.penalties));
   }
-  EXPECT_EQ(got.backend, "cpu-simd");
+  EXPECT_EQ(got.backend, "cpu");
   EXPECT_GT(got.timings.modeled_seconds, 0.0);
 }
 

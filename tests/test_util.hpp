@@ -2,10 +2,12 @@
 #pragma once
 
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "align/batch.hpp"
 #include "align/penalties.hpp"
 #include "common/rng.hpp"
 #include "seq/generator.hpp"
@@ -83,6 +85,43 @@ inline std::vector<DiffConfig> diff_cross(
       for (const align::Penalties& penalties : penalty_sets)
         configs.push_back({length, error_rate, penalties, 0});
   return configs;
+}
+
+// --- backend matrix -------------------------------------------------------
+
+// One backend configuration a matrix test covers: a registry key plus the
+// BatchOptions flag that selects an execution path within that backend
+// class (none for the key's default path).
+struct BackendVariant {
+  std::string key;
+  bool align::BatchOptions::*flag = nullptr;
+  std::string flag_name = {};
+
+  align::BatchOptions applied_to(align::BatchOptions options) const {
+    if (flag) options.*flag = true;
+    return options;
+  }
+  // gtest-safe: "cpu", "cpu_simd", "pim_pipeline", ...
+  std::string name() const { return flag ? flag_name : key; }
+};
+
+// Every backend class with each execution-path flag it honours.
+inline std::vector<BackendVariant> backend_variants() {
+  using align::BatchOptions;
+  return {{"cpu"},
+          {"cpu", &BatchOptions::cpu_simd, "cpu_simd"},
+          {"pim"},
+          {"pim", &BatchOptions::pim_pipeline, "pim_pipeline"},
+          {"pim", &BatchOptions::pim_packed, "pim_packed"},
+          {"hybrid"}};
+}
+
+// The backend_variants() entry called `name`.
+inline BackendVariant backend_variant(const std::string& name) {
+  for (const BackendVariant& variant : backend_variants()) {
+    if (variant.name() == name) return variant;
+  }
+  throw std::invalid_argument("unknown backend variant " + name);
 }
 
 }  // namespace pimwfa::testing

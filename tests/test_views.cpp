@@ -214,7 +214,7 @@ TEST(ReadPairSpan, ViewOutlivesNothingButItsStorage) {
   }
 }
 
-// --- view-based vs. owning runs on every registered backend ---------------
+// --- view-based vs. owning runs on every backend variant -------------------
 
 TEST(ViewBackendIdentity, ViewAndOwningRunsAreBitIdenticalOnEveryBackend) {
   const ReadPairSet batch = small_batch(72, 0xB1D);
@@ -224,13 +224,14 @@ TEST(ViewBackendIdentity, ViewAndOwningRunsAreBitIdenticalOnEveryBackend) {
   const ReadPairSpan window = ReadPairSpan(batch).subspan(begin, end);
   const ReadPairSet owned = batch.slice(begin, end);
 
-  for (const std::string& key : align::backend_registry().names()) {
-    const BatchOptions options = tiny_options();
+  for (const testing::BackendVariant& variant : testing::backend_variants()) {
+    const std::string key = variant.name();
+    const BatchOptions options = variant.applied_to(tiny_options());
     const BatchResult from_view =
-        align::backend_registry().create(key, options)->run(
+        align::backend_registry().create(variant.key, options)->run(
             window, AlignmentScope::kFull);
     const BatchResult from_owned =
-        align::backend_registry().create(key, options)->run(
+        align::backend_registry().create(variant.key, options)->run(
             owned, AlignmentScope::kFull);
 
     ASSERT_EQ(from_view.results.size(), end - begin) << key;
