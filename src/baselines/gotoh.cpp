@@ -70,9 +70,10 @@ align::AlignmentResult GotohAligner::align_full(std::string_view pattern,
   result.score = m_[at(plen, tlen)];
   result.has_cigar = true;
 
-  // Backtrace. State machine over {M, I, D}; ops are emitted reversed.
+  // Backtrace. State machine over {M, I, D}; ops are prepended, last first.
   enum class State { kM, kI, kD };
-  seq::Cigar cigar;
+  seq::CigarBuilder cigar;
+  cigar.reserve(plen + tlen);
   usize i = plen;
   usize j = tlen;
   State state = State::kM;
@@ -83,7 +84,7 @@ align::AlignmentResult GotohAligner::align_full(std::string_view pattern,
         if (i > 0 && j > 0 &&
             here == m_[at(i - 1, j - 1)] +
                         (pattern[i - 1] == text[j - 1] ? 0 : x)) {
-          cigar.push(pattern[i - 1] == text[j - 1] ? 'M' : 'X');
+          cigar.prepend(pattern[i - 1] == text[j - 1] ? 'M' : 'X');
           --i;
           --j;
         } else if (j > 0 && here == i_[at(i, j)]) {
@@ -96,22 +97,21 @@ align::AlignmentResult GotohAligner::align_full(std::string_view pattern,
         break;
       }
       case State::kI: {
-        cigar.push('I');
+        cigar.prepend('I');
         // Decide the predecessor before consuming the column.
         state = (i_[at(i, j)] == m_[at(i, j - 1)] + oe) ? State::kM : State::kI;
         --j;
         break;
       }
       case State::kD: {
-        cigar.push('D');
+        cigar.prepend('D');
         state = (d_[at(i, j)] == m_[at(i - 1, j)] + oe) ? State::kM : State::kD;
         --i;
         break;
       }
     }
   }
-  cigar.reverse();
-  result.cigar = std::move(cigar);
+  result.cigar = cigar.finish();
   return result;
 }
 

@@ -35,7 +35,8 @@ align::AlignmentResult nw_align(std::string_view pattern, std::string_view text,
   result.score = dp[at(plen, tlen)];
   result.has_cigar = true;
 
-  seq::Cigar cigar;
+  seq::CigarBuilder cigar;
+  cigar.reserve(plen + tlen);
   usize i = plen;
   usize j = tlen;
   while (i > 0 || j > 0) {
@@ -43,21 +44,20 @@ align::AlignmentResult nw_align(std::string_view pattern, std::string_view text,
     if (i > 0 && j > 0 &&
         here == dp[at(i - 1, j - 1)] +
                     (pattern[i - 1] == text[j - 1] ? 0 : x)) {
-      cigar.push(pattern[i - 1] == text[j - 1] ? 'M' : 'X');
+      cigar.prepend(pattern[i - 1] == text[j - 1] ? 'M' : 'X');
       --i;
       --j;
     } else if (j > 0 && here == dp[at(i, j - 1)] + g) {
-      cigar.push('I');
+      cigar.prepend('I');
       --j;
     } else {
       PIMWFA_CHECK(i > 0 && here == dp[at(i - 1, j)] + g,
                    "NW backtrace stuck at (" << i << "," << j << ")");
-      cigar.push('D');
+      cigar.prepend('D');
       --i;
     }
   }
-  cigar.reverse();
-  result.cigar = std::move(cigar);
+  result.cigar = cigar.finish();
   return result;
 }
 

@@ -54,7 +54,8 @@ LocalAlignment sw_align(std::string_view pattern, std::string_view text,
 
   // Backtrace from the maximum until an H==0 cell.
   enum class State { kH, kI, kD };
-  seq::Cigar cigar;
+  seq::CigarBuilder cigar;
+  cigar.reserve(best_i + best_j);
   usize i = best_i;
   usize j = best_j;
   State state = State::kH;
@@ -66,7 +67,7 @@ LocalAlignment sw_align(std::string_view pattern, std::string_view text,
                         (pattern[i - 1] == text[j - 1] ? scoring.match
                                                        : scoring.mismatch);
         if (here == sub) {
-          cigar.push(pattern[i - 1] == text[j - 1] ? 'M' : 'X');
+          cigar.prepend(pattern[i - 1] == text[j - 1] ? 'M' : 'X');
           --i;
           --j;
         } else if (here == I[at(i, j)]) {
@@ -78,19 +79,18 @@ LocalAlignment sw_align(std::string_view pattern, std::string_view text,
         break;
       }
       case State::kI:
-        cigar.push('I');
+        cigar.prepend('I');
         state = (I[at(i, j)] == H[at(i, j - 1)] + oe) ? State::kH : State::kI;
         --j;
         break;
       case State::kD:
-        cigar.push('D');
+        cigar.prepend('D');
         state = (D[at(i, j)] == H[at(i - 1, j)] + oe) ? State::kH : State::kD;
         --i;
         break;
     }
   }
-  cigar.reverse();
-  out.cigar = std::move(cigar);
+  out.cigar = cigar.finish();
   out.pattern_begin = i;
   out.pattern_end = best_i;
   out.text_begin = j;

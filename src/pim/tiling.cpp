@@ -195,7 +195,9 @@ align::AlignmentResult stitch_segments(
                "tiled pair stitches to score " << out.score
                    << ", planner expected " << expected);
   if (full) {
-    out.cigar = seq::Cigar::from_ops(std::move(stitched));
+    // Copied out so the result holds exactly its ops, not the reserved
+    // pattern + text capacity.
+    out.cigar = seq::Cigar::from_ops(stitched);
     out.has_cigar = true;
   }
   return out;

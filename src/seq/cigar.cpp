@@ -1,6 +1,8 @@
 #include "seq/cigar.hpp"
 
 #include <cctype>
+#include <limits>
+#include <sstream>
 
 #include "common/check.hpp"
 
@@ -22,7 +24,10 @@ Cigar Cigar::from_rle(std::string_view rle) {
     usize run = 0;
     bool has_digits = false;
     while (i < rle.size() && std::isdigit(static_cast<unsigned char>(rle[i]))) {
-      run = run * 10 + static_cast<usize>(rle[i] - '0');
+      const usize digit = static_cast<usize>(rle[i] - '0');
+      PIMWFA_ARG_CHECK(run <= (std::numeric_limits<usize>::max() - digit) / 10,
+                       "CIGAR run count overflows");
+      run = run * 10 + digit;
       has_digits = true;
       ++i;
     }
@@ -31,19 +36,30 @@ Cigar Cigar::from_rle(std::string_view rle) {
     PIMWFA_ARG_CHECK(is_cigar_op(op), "invalid CIGAR op '" << op << "'");
     if (!has_digits) run = 1;
     PIMWFA_ARG_CHECK(run > 0, "zero-length CIGAR run");
+    PIMWFA_ARG_CHECK(run <= cigar.ops_.max_size() - cigar.ops_.size(),
+                     "CIGAR run of " << run << " exceeds the maximum length");
     cigar.ops_.append(run, op);
   }
   return cigar;
 }
 
-void Cigar::push(char op) {
-  PIMWFA_DCHECK(is_cigar_op(op));
-  ops_.push_back(op);
+void CigarBuilder::reserve(usize max_ops) {
+  if (buf_.size() < max_ops) buf_.resize(max_ops);
+  front_ = buf_.size();
 }
 
-void Cigar::reverse() {
-  std::string reversed(ops_.rbegin(), ops_.rend());
-  ops_ = std::move(reversed);
+Cigar CigarBuilder::finish() {
+  Cigar cigar;
+  cigar.ops_ = std::string(buf_.data() + front_, size());
+  front_ = buf_.size();
+  return cigar;
+}
+
+void CigarBuilder::overflow(usize n) const {
+  std::ostringstream oss;
+  oss << "CigarBuilder overflow: prepending " << n << " ops with room for "
+      << front_ << " (reserve() too small)";
+  throw Error(oss.str());
 }
 
 std::string Cigar::to_rle() const {

@@ -9,13 +9,17 @@
 //   'D' deletion  consumes one pattern base only (gap in the text)
 //
 // Internally ops are stored uncompressed (one char per operation), which is
-// the natural output of a backtrace; run-length compressed text form
-// ("3M1X2I") is available for display and interchange.
+// the natural output of a backtrace: a backtrace walks the alignment from
+// its end, so it writes ops back to front into a CigarBuilder, which hands
+// over an exact-size Cigar in forward order. Run-length compressed text
+// form ("3M1X2I") is available for display and interchange.
 #pragma once
 
+#include <cstring>
 #include <string>
 #include <string_view>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 
 namespace pimwfa::seq {
@@ -35,8 +39,6 @@ class Cigar {
   bool empty() const noexcept { return ops_.empty(); }
   usize size() const noexcept { return ops_.size(); }
 
-  void push(char op);                 // append one op (validated)
-  void reverse();                     // reverse in place (backtrace helper)
   void clear() noexcept { ops_.clear(); }
 
   // Run-length compressed string.
@@ -75,6 +77,8 @@ class Cigar {
   bool operator==(const Cigar& other) const noexcept = default;
 
  private:
+  friend class CigarBuilder;
+
   std::string ops_;
 };
 
@@ -82,5 +86,47 @@ class Cigar {
 constexpr bool is_cigar_op(char op) noexcept {
   return op == 'M' || op == 'X' || op == 'I' || op == 'D';
 }
+
+// Builds a Cigar back to front, in the order a backtrace visits the ops.
+// The op buffer is reused across CIGARs; finish() copies the emitted ops
+// out with one exact-size allocation, so a result never carries the
+// buffer's spare capacity.
+//
+//   builder.reserve(pattern.size() + text.size());  // bounds any alignment
+//   builder.prepend_run('M', 5);                    // last ops first
+//   builder.prepend('X');
+//   Cigar cigar = builder.finish();                 // "XMMMMM"
+class CigarBuilder {
+ public:
+  // Makes room for `max_ops` ops and discards any ops not yet finished
+  // (e.g. those of a backtrace that threw).
+  void reserve(usize max_ops);
+
+  // Ops prepended since the last finish().
+  usize size() const noexcept { return buf_.size() - front_; }
+
+  void prepend(char op) {
+    PIMWFA_DCHECK(is_cigar_op(op));
+    if (front_ == 0) [[unlikely]] overflow(1);
+    buf_[--front_] = op;
+  }
+
+  // Prepends `n` copies of `op` with one fill.
+  void prepend_run(char op, usize n) {
+    PIMWFA_DCHECK(is_cigar_op(op));
+    if (n > front_) [[unlikely]] overflow(n);
+    front_ -= n;
+    std::memset(buf_.data() + front_, op, n);
+  }
+
+  // Returns the prepended ops in forward order and empties the builder.
+  Cigar finish();
+
+ private:
+  [[noreturn]] void overflow(usize n) const;
+
+  std::string buf_;  // ops occupy [front_, buf_.size())
+  usize front_ = 0;
+};
 
 }  // namespace pimwfa::seq

@@ -249,7 +249,8 @@ seq::Cigar WfaAligner::backtrace(i64 final_score, std::string_view pattern,
   const i32 tl = static_cast<i32>(text.size());
 
   enum class State { kM, kI, kD };
-  seq::Cigar cigar;
+  seq::CigarBuilder& cigar = cigar_builder_;
+  cigar.reserve(pattern.size() + text.size());
   i64 s = final_score;
   i32 k = tl - pl;
   Offset off = tl;
@@ -272,14 +273,14 @@ seq::Cigar WfaAligner::backtrace(i64 final_score, std::string_view pattern,
         // initial run of matches.
         PIMWFA_CHECK(s == 0 && k == 0,
                      "WFA backtrace stuck at s=" << s << " k=" << k);
-        for (Offset i = 0; i < off; ++i) cigar.push('M');
+        cigar.prepend_run('M', static_cast<usize>(off));
         break;
       }
       PIMWFA_CHECK(off >= best, "WFA backtrace offset regression");
-      for (Offset i = best; i < off; ++i) cigar.push('M');
+      cigar.prepend_run('M', static_cast<usize>(off - best));
       off = best;
       if (sub == best) {
-        cigar.push('X');
+        cigar.prepend('X');
         s -= x;
         --off;
       } else if (ins == best) {
@@ -290,7 +291,7 @@ seq::Cigar WfaAligner::backtrace(i64 final_score, std::string_view pattern,
     } else if (state == State::kI) {
       // The span seed I[0][0] is the entry state, not an operation.
       if (begin == Component::kI && s == 0 && k == 0 && off == 0) break;
-      cigar.push('I');
+      cigar.prepend('I');
       const Offset open_src =
           (s >= oe) ? sets_[si - static_cast<usize>(oe)].m.at(k - 1)
                     : kOffsetNone;
@@ -308,7 +309,7 @@ seq::Cigar WfaAligner::backtrace(i64 final_score, std::string_view pattern,
       --k;
     } else {
       if (begin == Component::kD && s == 0 && k == 0 && off == 0) break;
-      cigar.push('D');
+      cigar.prepend('D');
       const Offset open_src =
           (s >= oe) ? sets_[si - static_cast<usize>(oe)].m.at(k + 1)
                     : kOffsetNone;
@@ -326,8 +327,7 @@ seq::Cigar WfaAligner::backtrace(i64 final_score, std::string_view pattern,
     }
   }
   counters_.backtrace_ops += cigar.size();
-  cigar.reverse();
-  return cigar;
+  return cigar.finish();
 }
 
 Wavefront WfaAligner::bind_ring_front(ScoreRing& ring, RingSlot& slot,
@@ -623,7 +623,7 @@ WfaAligner::Breakpoint WfaAligner::find_breakpoint(std::string_view pattern,
 i64 WfaAligner::ultralow_recurse(std::string_view pattern,
                                  std::string_view text, Component begin,
                                  Component end, i64 score_cap,
-                                 seq::Cigar& out) {
+                                 std::string& out) {
   const usize plen = pattern.size();
   const usize tlen = text.size();
   const i32 o = options_.penalties.gap_open;
@@ -632,8 +632,8 @@ i64 WfaAligner::ultralow_recurse(std::string_view pattern,
   // Degenerate halves: a single gap run, free of gap_open when it
   // continues the begin component's seam run.
   if (plen == 0 || tlen == 0) {
-    for (usize i = 0; i < tlen; ++i) out.push('I');
-    for (usize i = 0; i < plen; ++i) out.push('D');
+    out.append(tlen, 'I');
+    out.append(plen, 'D');
     if (tlen > 0) {
       return (begin == Component::kI ? 0 : o) + static_cast<i64>(tlen) * e;
     }
@@ -657,7 +657,7 @@ i64 WfaAligner::ultralow_recurse(std::string_view pattern,
                  "kUltralow base case score " << res.score
                                               << " != bidirectional score "
                                               << bp.total);
-    for (char op : res.cigar.ops()) out.push(op);
+    out += res.cigar.ops();
     return bp.total;
   }
 
@@ -759,10 +759,10 @@ align::AlignmentResult WfaAligner::align_span(std::string_view pattern,
           (begin == Component::kD ? 0 : o) + static_cast<i64>(plen) * e;
     }
     if (scope == align::AlignmentScope::kFull) {
-      seq::Cigar cigar;
-      for (usize i = 0; i < tlen; ++i) cigar.push('I');
-      for (usize i = 0; i < plen; ++i) cigar.push('D');
-      result.cigar = std::move(cigar);
+      cigar_builder_.reserve(plen + tlen);
+      cigar_builder_.prepend_run('D', plen);
+      cigar_builder_.prepend_run('I', tlen);
+      result.cigar = cigar_builder_.finish();
       result.has_cigar = true;
     }
     counters_.max_score =
@@ -779,9 +779,13 @@ align::AlignmentResult WfaAligner::align_span(std::string_view pattern,
     if (scope == align::AlignmentScope::kScoreOnly) {
       result.score = find_breakpoint(pattern, text, begin, end, score_cap).total;
     } else {
-      seq::Cigar cigar;
+      std::string ops;
+      ops.reserve(plen + tlen);
       const i64 total =
-          ultralow_recurse(pattern, text, begin, end, score_cap, cigar);
+          ultralow_recurse(pattern, text, begin, end, score_cap, ops);
+      // Copied out so the result holds exactly its ops, not the stitching
+      // buffer's plen + tlen capacity.
+      seq::Cigar cigar = seq::Cigar::from_ops(ops);
       // The stitched CIGAR is verified before it leaves: it must consume
       // exactly the inputs and cost exactly the bidirectional score.
       PIMWFA_CHECK(

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "align/aligner.hpp"
+#include "seq/cigar.hpp"
 #include "wfa/allocator.hpp"
 #include "wfa/kernels.hpp"
 #include "wfa/wavefront.hpp"
@@ -173,10 +174,10 @@ class WfaAligner final : public align::PairAligner {
   i64 score_low_memory(std::string_view pattern, std::string_view text,
                        i64 score_cap, Component begin, Component end);
   // Recursive BiWFA alignment (MemoryMode::kUltralow, full scope); appends
-  // this subproblem's CIGAR to `out` and returns its optimal score.
+  // this subproblem's CIGAR ops to `out` and returns its optimal score.
   i64 ultralow_recurse(std::string_view pattern, std::string_view text,
                        Component begin, Component end, i64 score_cap,
-                       seq::Cigar& out);
+                       std::string& out);
   // kHigh pass over one (sub)problem with boundary components; used both
   // by align()/align_span() directly and as the recursion base case.
   align::AlignmentResult align_retained(std::string_view pattern,
@@ -202,6 +203,7 @@ class WfaAligner final : public align::PairAligner {
   // buffers; std::string_view cannot express a reversed traversal).
   std::string rev_pattern_, rev_text_;
   u64 retained_bytes_ = 0;  // payload allocated by the current kHigh pass
+  seq::CigarBuilder cigar_builder_;  // backtrace op buffer, reused
   WfaCounters counters_;
 };
 

@@ -53,7 +53,8 @@ seq::Cigar EditWfaAligner::backtrace(i64 distance, std::string_view pattern,
                                      std::string_view text) {
   const i32 pl = static_cast<i32>(pattern.size());
   const i32 tl = static_cast<i32>(text.size());
-  seq::Cigar cigar;
+  seq::CigarBuilder& cigar = cigar_builder_;
+  cigar.reserve(pattern.size() + text.size());
   i64 d = distance;
   i32 k = tl - pl;
   Offset off = tl;
@@ -76,28 +77,27 @@ seq::Cigar EditWfaAligner::backtrace(i64 distance, std::string_view pattern,
     const Offset best = std::max({ins, sub, del});
     if (!offset_reachable(best)) {
       PIMWFA_CHECK(d == 0 && k == 0, "edit-WFA backtrace stuck");
-      for (Offset i = 0; i < off; ++i) cigar.push('M');
+      cigar.prepend_run('M', static_cast<usize>(off));
       break;
     }
     PIMWFA_CHECK(off >= best, "edit-WFA backtrace offset regression");
-    for (Offset i = best; i < off; ++i) cigar.push('M');
+    cigar.prepend_run('M', static_cast<usize>(off - best));
     off = best;
     --d;
     if (best == sub) {
-      cigar.push('X');
+      cigar.prepend('X');
       --off;
     } else if (best == ins) {
-      cigar.push('I');
+      cigar.prepend('I');
       --off;
       --k;
     } else {
-      cigar.push('D');
+      cigar.prepend('D');
       ++k;
     }
   }
   counters_.backtrace_ops += cigar.size();
-  cigar.reverse();
-  return cigar;
+  return cigar.finish();
 }
 
 align::AlignmentResult EditWfaAligner::align(std::string_view pattern,
@@ -113,10 +113,10 @@ align::AlignmentResult EditWfaAligner::align(std::string_view pattern,
   if (plen == 0 || tlen == 0) {
     result.score = static_cast<i64>(plen + tlen);
     if (scope == align::AlignmentScope::kFull) {
-      seq::Cigar cigar;
-      for (usize i = 0; i < tlen; ++i) cigar.push('I');
-      for (usize i = 0; i < plen; ++i) cigar.push('D');
-      result.cigar = std::move(cigar);
+      cigar_builder_.reserve(plen + tlen);
+      cigar_builder_.prepend_run('D', plen);
+      cigar_builder_.prepend_run('I', tlen);
+      result.cigar = cigar_builder_.finish();
       result.has_cigar = true;
     }
     return result;

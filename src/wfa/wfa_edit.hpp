@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "align/aligner.hpp"
+#include "seq/cigar.hpp"
 #include "wfa/allocator.hpp"
 #include "wfa/wavefront.hpp"
 
@@ -44,6 +45,7 @@ class EditWfaAligner final : public align::PairAligner {
   std::unique_ptr<SlabAllocator> owned_allocator_;
   WavefrontAllocator* allocator_;
   std::vector<Wavefront> fronts_;  // indexed by distance
+  seq::CigarBuilder cigar_builder_;  // backtrace op buffer, reused
   WfaCounters counters_;
 };
 

@@ -111,6 +111,16 @@ TEST(Cigar, FromRleRejectsBadInput) {
   EXPECT_THROW(Cigar::from_rle("0M"), InvalidArgument);
 }
 
+TEST(Cigar, FromRleRejectsOverflowingCounts) {
+  // 2^64 + 1 and 2^64 + 2 used to wrap to 1 and 2.
+  EXPECT_THROW(Cigar::from_rle("18446744073709551617M"), InvalidArgument);
+  EXPECT_THROW(Cigar::from_rle("18446744073709551618X3M"), InvalidArgument);
+  EXPECT_THROW(Cigar::from_rle("99999999999999999999999999M"), InvalidArgument);
+  // 2^64 - 1 fits usize but no string can hold it.
+  EXPECT_THROW(Cigar::from_rle("18446744073709551615M"), InvalidArgument);
+  EXPECT_THROW(Cigar::from_rle("1M18446744073709551615M"), InvalidArgument);
+}
+
 TEST(Cigar, FromOpsRejectsBadOp) {
   EXPECT_THROW(Cigar::from_ops("MMQ"), InvalidArgument);
 }
@@ -170,10 +180,63 @@ TEST(Cigar, Identity) {
   EXPECT_DOUBLE_EQ(Cigar().identity(), 0.0);
 }
 
-TEST(Cigar, ReverseInPlace) {
-  Cigar c = Cigar::from_ops("MID");
-  c.reverse();
-  EXPECT_EQ(c.ops(), "DIM");
+TEST(CigarBuilder, PrependsInForwardOrder) {
+  CigarBuilder builder;
+  builder.reserve(12);
+  builder.prepend_run('M', 3);
+  builder.prepend('D');
+  builder.prepend_run('I', 2);
+  builder.prepend('X');
+  builder.prepend_run('M', 0);
+  builder.prepend_run('M', 2);
+  EXPECT_EQ(builder.size(), 9u);
+  EXPECT_EQ(builder.finish().ops(), "MMXIIDMMM");
+  EXPECT_EQ(builder.size(), 0u);
+}
+
+TEST(CigarBuilder, EmptyFinish) {
+  CigarBuilder builder;
+  EXPECT_TRUE(builder.finish().empty());
+  builder.reserve(4);
+  EXPECT_TRUE(builder.finish().empty());
+}
+
+TEST(CigarBuilder, ReusableAfterFinish) {
+  CigarBuilder builder;
+  builder.reserve(200);
+  builder.prepend_run('M', 150);
+  builder.prepend('X');
+  EXPECT_EQ(builder.finish().size(), 151u);
+  // A smaller CIGAR on the same (larger) buffer holds only its own ops.
+  builder.reserve(3);
+  builder.prepend('I');
+  builder.prepend('M');
+  const Cigar small = builder.finish();
+  EXPECT_EQ(small.ops(), "MI");
+  // reserve() also discards ops that were never finished.
+  builder.prepend('D');
+  builder.reserve(2);
+  builder.prepend('X');
+  EXPECT_EQ(builder.finish().ops(), "X");
+}
+
+TEST(CigarBuilder, FinishIsExactSize) {
+  CigarBuilder builder;
+  builder.reserve(4096);
+  builder.prepend_run('M', 1000);
+  const Cigar c = builder.finish();
+  EXPECT_EQ(c.size(), 1000u);
+  EXPECT_LT(c.ops().capacity(), 2 * c.size());
+}
+
+TEST(CigarBuilder, OverflowThrows) {
+  CigarBuilder builder;
+  builder.reserve(2);
+  builder.prepend('M');
+  EXPECT_THROW(builder.prepend_run('M', 2), Error);
+  builder.prepend('X');
+  EXPECT_THROW(builder.prepend('I'), Error);
+  EXPECT_EQ(builder.finish().ops(), "XM");
 }
 
 }  // namespace

@@ -275,6 +275,25 @@ TEST(SimdAlignRange, HammingFastPathStopsAtTheGapFloor) {
   }
 }
 
+TEST(SimdAlignRange, HammingFastPathCigarIsExactSize) {
+  Rng rng{6};
+  const std::string base = seq::random_sequence(rng, 200);
+  std::string mutated = base;
+  mutated[50] = mutated[50] == 'G' ? 'T' : 'G';
+  mutated[150] = mutated[150] == 'G' ? 'T' : 'G';
+  seq::ReadPairSet batch;
+  batch.add({base, mutated});
+  for (const SimdLevel level : available_levels()) {
+    std::vector<align::AlignmentResult> got;
+    const SimdStats stats = run_align_range(
+        batch, Penalties::defaults(), AlignmentScope::kFull, level, {}, got);
+    ASSERT_EQ(stats.hamming_pairs, 1u) << cpu::simd::level_name(level);
+    ASSERT_EQ(got[0].cigar.size(), 200u);
+    EXPECT_TRUE(testing::holds_exactly_its_ops(got[0].cigar))
+        << cpu::simd::level_name(level);
+  }
+}
+
 TEST(SimdAlignRange, MyersFastPathRespectsTheEditThreshold) {
   // Unit penalties, score only: within the threshold the bit-parallel
   // Myers distance is the score; past it the pair must take the full

@@ -227,6 +227,24 @@ TEST(Ultralow, PeakMemoryFarBelowHigh) {
       << "kHigh peak " << high_peak << " vs kUltralow peak " << ultra_peak;
 }
 
+TEST(Ultralow, StitchedCigarIsExactSize) {
+  // The stitched CIGAR is assembled in a plen + tlen buffer; the result
+  // must hold exactly its ops. A small base budget forces stitching.
+  Rng rng(0xE8AC7u);
+  const auto pair = testing::random_pair(rng, 10000, 100);
+  auto options = ultralow_options();
+  options.ultralow_base_wavefront_bytes = 64u << 10;
+  WfaAligner ultra(options);
+  WfaAligner high(Penalties::defaults());
+
+  const auto got = ultra.align(pair.pattern, pair.text, AlignmentScope::kFull);
+  const auto ref = high.align(pair.pattern, pair.text, AlignmentScope::kFull);
+  ASSERT_EQ(got.score, ref.score);
+  EXPECT_EQ(got.cigar.ops(), ref.cigar.ops());
+  ASSERT_GE(got.cigar.size(), 10000u);
+  EXPECT_TRUE(testing::holds_exactly_its_ops(got.cigar));
+}
+
 TEST(Ultralow, BreakpointMatchesOptimalScore) {
   // find_breakpoint's total is the optimal score, and the reported meet
   // lies inside the problem rectangle.

@@ -10,6 +10,7 @@
 #include "align/batch.hpp"
 #include "align/penalties.hpp"
 #include "common/rng.hpp"
+#include "seq/cigar.hpp"
 #include "seq/generator.hpp"
 
 namespace pimwfa::testing {
@@ -21,6 +22,14 @@ inline seq::ReadPair random_pair(Rng& rng, usize length, usize errors) {
   pair.pattern = seq::random_sequence(rng, length);
   pair.text = seq::mutate_sequence(rng, pair.pattern, errors);
   return pair;
+}
+
+// True when `cigar` holds exactly its ops, give or take allocator slack.
+// A backtrace's op buffer has room for pattern + text ops, about twice a
+// similar-length pair's CIGAR, so a result that kept that buffer (and
+// about doubled its resident bytes) fails this.
+inline bool holds_exactly_its_ops(const seq::Cigar& cigar) {
+  return 2 * cigar.ops().capacity() < 3 * cigar.size();
 }
 
 // A fully random (unrelated) pair, worst case for aligners.

@@ -232,6 +232,37 @@ TEST(Wfa, DeterministicCigars) {
   }
 }
 
+TEST(Wfa, CigarIsExactSize) {
+  WfaAligner aligner(Penalties::defaults());
+  Rng rng(38);
+  const auto pair = pimwfa::testing::random_pair(rng, 1000, 20);
+  const auto result = aligner.align(pair.pattern, pair.text,
+                                    AlignmentScope::kFull);
+  ASSERT_GE(result.cigar.size(), 1000u);
+  EXPECT_TRUE(pimwfa::testing::holds_exactly_its_ops(result.cigar));
+}
+
+TEST(Wfa, CigarBufferReuseLeavesNoStaleOps) {
+  // A short pair after a long one on the same aligner reuses the larger
+  // op buffer; its CIGAR must be exactly a fresh aligner's.
+  WfaAligner reused(Penalties::defaults());
+  Rng rng(39);
+  const auto long_pair = pimwfa::testing::random_pair(rng, 1000, 20);
+  const auto short_pair = pimwfa::testing::random_pair(rng, 100, 3);
+  reused.align(long_pair.pattern, long_pair.text, AlignmentScope::kFull);
+  const auto got =
+      reused.align(short_pair.pattern, short_pair.text, AlignmentScope::kFull);
+
+  WfaAligner fresh(Penalties::defaults());
+  const auto want =
+      fresh.align(short_pair.pattern, short_pair.text, AlignmentScope::kFull);
+  EXPECT_EQ(got.score, want.score);
+  EXPECT_EQ(got.cigar, want.cigar);
+  EXPECT_EQ(got.cigar.pattern_length(), short_pair.pattern.size());
+  EXPECT_EQ(got.cigar.text_length(), short_pair.text.size());
+  EXPECT_TRUE(pimwfa::testing::holds_exactly_its_ops(got.cigar));
+}
+
 TEST(WfaAdaptive, ExactOnLowErrorPairs) {
   WfaAligner::Options options;
   options.heuristic.enabled = true;
