@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <vector>
 
 #include "common/check.hpp"
@@ -10,81 +11,72 @@ namespace pimwfa::baselines {
 namespace {
 
 constexpr usize kWordBits = 64;
+constexpr usize kAlphabet = 256;
 
-// Single-word Myers (pattern length <= 64), global distance variant: the
-// horizontal input delta at row 0 is +1 for every text column. A
-// non-negative `prune` aborts with prune+1 once the final distance
-// provably exceeds it: adjacent last-row cells differ by at most 1, so
-// after column j the end value is at least score - (tlen - j).
-i64 myers_short(std::string_view pattern, std::string_view text, i64 prune) {
-  const usize m = pattern.size();
-  PIMWFA_DCHECK(m >= 1 && m <= kWordBits);
-  std::array<u64, 256> peq{};
-  for (usize i = 0; i < m; ++i) {
-    peq[static_cast<u8>(pattern[i])] |= u64{1} << i;
+}  // namespace
+
+void MyersMatcher::set_pattern(std::string_view pattern) {
+  // Zero only the rows the previous pattern set (in its block layout):
+  // the whole table is then zero again, whatever its old shape.
+  for (const u8 c : used_) {
+    std::fill_n(peq_.begin() + static_cast<std::ptrdiff_t>(c * blocks_),
+                blocks_, u64{0});
   }
-  const u64 top = u64{1} << (m - 1);
-  u64 pv = ~u64{0};
-  u64 mv = 0;
-  i64 score = static_cast<i64>(m);
-  i64 remaining = static_cast<i64>(text.size());
-  for (char c : text) {
-    const u64 eq = peq[static_cast<u8>(c)];
-    const u64 xv = eq | mv;
-    const u64 xh = (((eq & pv) + pv) ^ pv) | eq;
-    u64 ph = mv | ~(xh | pv);
-    u64 mh = pv & xh;
-    if (ph & top) ++score;
-    else if (mh & top) --score;
-    ph = (ph << 1) | 1;  // +1 horizontal delta entering row 0 (global)
-    mh <<= 1;
-    pv = mh | ~(xv | ph);
-    mv = ph & xv;
-    --remaining;
-    if (prune >= 0 && score - remaining > prune) return prune + 1;
+  used_.clear();
+
+  m_ = pattern.size();
+  blocks_ = (m_ + kWordBits - 1) / kWordBits;
+  if (peq_.size() < kAlphabet * blocks_) peq_.resize(kAlphabet * blocks_);
+  if (pv_.size() < blocks_) {
+    pv_.resize(blocks_);
+    mv_.resize(blocks_);
   }
-  return score;
+  std::array<bool, kAlphabet> seen{};
+  for (usize i = 0; i < m_; ++i) {
+    const u8 c = static_cast<u8>(pattern[i]);
+    if (!seen[c]) {
+      seen[c] = true;
+      used_.push_back(c);
+    }
+    peq_[c * blocks_ + i / kWordBits] |= u64{1} << (i % kWordBits);
+  }
 }
 
-// Block-based Myers for arbitrary pattern lengths.
-i64 myers_long(std::string_view pattern, std::string_view text, i64 prune) {
-  const usize m = pattern.size();
-  const usize blocks = (m + kWordBits - 1) / kWordBits;
-  std::vector<std::array<u64, 256>> peq(blocks);
-  for (auto& table : peq) table.fill(0);
-  for (usize i = 0; i < m; ++i) {
-    peq[i / kWordBits][static_cast<u8>(pattern[i])] |= u64{1}
-                                                       << (i % kWordBits);
-  }
-  const usize last = blocks - 1;
-  const u64 top = u64{1} << ((m - 1) % kWordBits);
-
-  std::vector<u64> pv(blocks, ~u64{0});
-  std::vector<u64> mv(blocks, 0);
-  i64 score = static_cast<i64>(m);
+i64 MyersMatcher::run(std::string_view text, i64 prune) {
+  PIMWFA_DCHECK(m_ >= 1);
+  const usize blocks = blocks_;
+  const u64 top = u64{1} << ((m_ - 1) % kWordBits);
+  u64* const pv = pv_.data();
+  u64* const mv = mv_.data();
+  std::fill_n(pv, blocks, ~u64{0});
+  std::fill_n(mv, blocks, u64{0});
+  i64 score = static_cast<i64>(m_);
   i64 remaining = static_cast<i64>(text.size());
-  for (char c : text) {
+  for (const char c : text) {
+    const u64* const eq_row = peq_.data() + static_cast<u8>(c) * blocks;
     u64 ph_in = 1;  // +1 entering row 0 (global alignment)
     u64 mh_in = 0;
+    u64 ph = 0;
+    u64 mh = 0;
     for (usize b = 0; b < blocks; ++b) {
-      const u64 eq = peq[b][static_cast<u8>(c)];
+      const u64 eq = eq_row[b];
       const u64 eq_in = eq | mh_in;
       const u64 xv = eq | mv[b];
       const u64 xh = (((eq_in & pv[b]) + pv[b]) ^ pv[b]) | eq_in;
-      u64 ph = mv[b] | ~(xh | pv[b]);
-      u64 mh = pv[b] & xh;
-      if (b == last) {
-        if (ph & top) ++score;
-        else if (mh & top) --score;
-      }
-      const u64 ph_out = ph >> (kWordBits - 1);
-      const u64 mh_out = mh >> (kWordBits - 1);
-      ph = (ph << 1) | ph_in;
-      mh = (mh << 1) | mh_in;
-      pv[b] = mh | ~(xv | ph);
-      mv[b] = ph & xv;
-      ph_in = ph_out;
-      mh_in = mh_out;
+      ph = mv[b] | ~(xh | pv[b]);
+      mh = pv[b] & xh;
+      const u64 ph_shifted = (ph << 1) | ph_in;
+      const u64 mh_shifted = (mh << 1) | mh_in;
+      pv[b] = mh_shifted | ~(xv | ph_shifted);
+      mv[b] = ph_shifted & xv;
+      ph_in = ph >> (kWordBits - 1);
+      mh_in = mh >> (kWordBits - 1);
+    }
+    // The last block's unshifted deltas hold the last pattern row.
+    if (ph & top) {
+      ++score;
+    } else if (mh & top) {
+      --score;
     }
     --remaining;
     if (prune >= 0 && score - remaining > prune) return prune + 1;
@@ -92,28 +84,30 @@ i64 myers_long(std::string_view pattern, std::string_view text, i64 prune) {
   return score;
 }
 
-}  // namespace
-
-i64 myers_edit_distance(std::string_view pattern, std::string_view text) {
-  if (pattern.empty()) return static_cast<i64>(text.size());
-  if (text.empty()) return static_cast<i64>(pattern.size());
-  return pattern.size() <= kWordBits ? myers_short(pattern, text, -1)
-                                     : myers_long(pattern, text, -1);
+i64 MyersMatcher::distance(std::string_view text) {
+  if (m_ == 0) return static_cast<i64>(text.size());
+  if (text.empty()) return static_cast<i64>(m_);
+  return run(text, -1);
 }
 
-i64 myers_bounded_edit_distance(std::string_view pattern,
-                                std::string_view text, i64 threshold) {
+i64 MyersMatcher::bounded_distance(std::string_view text, i64 threshold) {
   PIMWFA_ARG_CHECK(threshold >= 0, "threshold must be non-negative");
-  const i64 plen = static_cast<i64>(pattern.size());
+  const i64 plen = static_cast<i64>(m_);
   const i64 tlen = static_cast<i64>(text.size());
   // The length difference is an unconditional lower bound on the global
   // distance; most junk candidates never touch the DP at all.
   if (std::abs(plen - tlen) > threshold) return threshold + 1;
-  if (pattern.empty() || text.empty()) return std::abs(plen - tlen);
-  const i64 distance = pattern.size() <= kWordBits
-                           ? myers_short(pattern, text, threshold)
-                           : myers_long(pattern, text, threshold);
-  return std::min(distance, threshold + 1);
+  if (m_ == 0 || text.empty()) return std::abs(plen - tlen);
+  return std::min(run(text, threshold), threshold + 1);
+}
+
+i64 myers_edit_distance(std::string_view pattern, std::string_view text) {
+  return MyersMatcher(pattern).distance(text);
+}
+
+i64 myers_bounded_edit_distance(std::string_view pattern,
+                                std::string_view text, i64 threshold) {
+  return MyersMatcher(pattern).bounded_distance(text, threshold);
 }
 
 i64 banded_edit_distance(std::string_view pattern, std::string_view text,

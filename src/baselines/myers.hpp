@@ -7,24 +7,63 @@
 #pragma once
 
 #include <string_view>
+#include <vector>
 
 #include "common/types.hpp"
 
 namespace pimwfa::baselines {
 
+// Myers' bit-parallel global Levenshtein distance against one pattern,
+// preprocessed once: set_pattern() builds the per-block match masks
+// (Peq), after which every distance call only walks the text. All
+// buffers are members and only ever grow, so a matcher reused across
+// patterns and texts stops allocating once it has seen the longest
+// pattern. Patterns above 64 bases run as 64-row blocks chained by the
+// horizontal deltas (Hyyro 2003). Not thread-safe: one matcher per
+// thread.
+class MyersMatcher {
+ public:
+  MyersMatcher() = default;
+  explicit MyersMatcher(std::string_view pattern) { set_pattern(pattern); }
+
+  // Replaces the pattern (any bytes; empty is allowed).
+  void set_pattern(std::string_view pattern);
+
+  // Exact global Levenshtein distance between the pattern and `text`.
+  i64 distance(std::string_view text);
+
+  // The distance if it is <= threshold, otherwise threshold+1 (meaning
+  // "greater than threshold"). The length difference is checked first,
+  // and columns are pruned the moment the last-row score can no longer
+  // descend back to the threshold (the final distance is at least
+  // score[j] - remaining columns, since adjacent last-row cells differ
+  // by at most 1), so junk candidates exit in O(threshold) columns.
+  i64 bounded_distance(std::string_view text, i64 threshold);
+
+ private:
+  // The column recurrence; a non-negative `prune` returns prune+1 as
+  // soon as the distance provably exceeds it.
+  i64 run(std::string_view text, i64 prune);
+
+  usize m_ = 0;
+  usize blocks_ = 0;
+  // peq_[c * blocks_ + b]: bit i set iff pattern[64 * b + i] == c. Only
+  // the rows of bytes in used_ are non-zero.
+  std::vector<u64> peq_;
+  std::vector<u8> used_;  // distinct bytes of the current pattern
+  std::vector<u64> pv_;   // per-block vertical +1 / -1 delta vectors
+  std::vector<u64> mv_;
+};
+
 // Exact global Levenshtein distance via Myers' bit-parallel algorithm.
 // Works for any pattern length (multi-word blocks above 64).
 i64 myers_edit_distance(std::string_view pattern, std::string_view text);
 
-// Thresholded bit-parallel Myers: the exact global Levenshtein distance
-// if it is <= threshold, otherwise threshold+1 (meaning "greater than
-// threshold"). This is the cheap reject stage of the read mapper's
-// PEX-style hierarchical verification: candidate windows whose edit
-// distance provably exceeds the divergence-derived threshold never reach
-// the affine WFA. Columns are pruned the moment the last-row score can
-// no longer descend back to the threshold (the final distance is at
-// least score[j] - remaining columns, since adjacent last-row cells
-// differ by at most 1), so junk candidates exit in O(threshold) columns.
+// Thresholded bit-parallel Myers: MyersMatcher::bounded_distance for a
+// one-off pattern. The read mapper's PEX-style hierarchical verification
+// uses the matcher directly, so each read is preprocessed once for all
+// its candidate windows: windows whose edit distance provably exceeds
+// the divergence-derived threshold never reach the affine WFA.
 i64 myers_bounded_edit_distance(std::string_view pattern,
                                 std::string_view text, i64 threshold);
 

@@ -2,27 +2,20 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
+#include <memory>
 #include <string_view>
 
 #include "align/batch_engine.hpp"
 #include "align/registry.hpp"
 #include "baselines/myers.hpp"
 #include "common/check.hpp"
+#include "cpu/cpu_batch.hpp"
 #include "seq/alphabet.hpp"
 #include "seq/generator.hpp"
 
 namespace pimwfa::map {
 namespace {
-
-// One seed-voted verification job: read `read` (oriented per `reverse`)
-// against reference window [begin, begin + length).
-struct Candidate {
-  usize read = 0;
-  usize start = 0;  // voted reference start of the read itself
-  usize begin = 0;  // window bounds (start padded, clamped to the genome)
-  usize length = 0;
-  bool reverse = false;
-};
 
 // Runs the constructor-time argument checks before the member index is
 // built (initializer lists cannot interleave statements).
@@ -59,7 +52,9 @@ void MapperOptions::validate() const {
 ReadMapper::ReadMapper(std::string reference, MapperOptions options)
     : reference_(std::move(reference)),
       options_(std::move(options)),
-      index_(checked_reference(reference_, options_), options_.k) {}
+      index_(checked_reference(reference_, options_), options_.k),
+      pool_(std::make_unique<ThreadPool>(
+          cpu::CpuBatchOptions::from(options_.batch).threads)) {}
 
 usize ReadMapper::pad_for(usize read_length) const {
   // Budget edits can shift the read's far end by e_max in either
@@ -90,29 +85,25 @@ i64 ReadMapper::filter_threshold(usize read_length, usize window_length) const {
   return score_cap(read_length, window_length) / cheapest_edit;
 }
 
-MapResult ReadMapper::map(const std::vector<std::string>& reads) {
-  MapResult out;
-  out.mappings.resize(reads.size());
-  out.stats.reads = reads.size();
-  const usize glen = reference_.size();
+void ReadMapper::seed_and_filter(const std::vector<std::string>& reads,
+                                 usize first, usize last,
+                                 RangeSurvivors& out) const {
+  const std::string_view genome{reference_};
+  const usize glen = genome.size();
   const usize k = options_.k;
-
-  // Reverse-complemented reads, materialized once so candidate patterns
-  // can be zero-copy views for the filter stage.
-  std::vector<std::string> rc(options_.both_strands ? reads.size() : 0);
-
-  // --- Seed: vote candidate starts per (read, strand) ---------------------
-  std::vector<Candidate> candidates;
+  const usize strands = options_.both_strands ? 2 : 1;
   std::vector<usize> seed_starts;
   std::vector<i64> votes;
-  for (usize r = 0; r < reads.size(); ++r) {
-    const usize strands = options_.both_strands ? 2 : 1;
+  std::string rc;
+  baselines::MyersMatcher matcher;
+  for (usize r = first; r < last; ++r) {
     for (usize strand = 0; strand < strands; ++strand) {
-      if (strand == 1) rc[r] = seq::reverse_complement(reads[r]);
-      const std::string& oriented = strand == 0 ? reads[r] : rc[r];
+      if (strand == 1) rc = seq::reverse_complement(reads[r]);
+      const std::string& oriented = strand == 0 ? reads[r] : rc;
       const usize length = oriented.size();
       if (length < k) continue;
 
+      // --- Seed: vote candidate starts ---------------------------------
       // Seed positions spread evenly over [0, length - k].
       seed_starts.clear();
       const usize span = length - k;
@@ -136,6 +127,8 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
       std::sort(votes.begin(), votes.end());
       votes.erase(std::unique(votes.begin(), votes.end()), votes.end());
 
+      // --- Filter: bounded Myers rejects provably non-qualifying windows
+      if (options_.filter && !votes.empty()) matcher.set_pattern(oriented);
       const usize pad = pad_for(length);
       for (const i64 vote : votes) {
         const usize start = static_cast<usize>(vote);
@@ -143,36 +136,51 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
         const usize begin = start > pad ? start - pad : 0;
         const usize end = std::min(glen, start + length + pad);
         if (end <= begin) continue;
-        candidates.push_back(
-            {r, start, begin, end - begin, strand == 1});
+        ++out.candidates;
+        const std::string_view window = genome.substr(begin, end - begin);
+        if (options_.filter) {
+          const i64 threshold = filter_threshold(length, window.size());
+          if (matcher.bounded_distance(window, threshold) > threshold) {
+            ++out.rejected;
+            continue;
+          }
+        }
+        out.survivors.push_back({r, start, strand == 1});
+        out.pairs.push_back({oriented, std::string(window)});
       }
     }
   }
-  out.stats.candidates = candidates.size();
+}
 
-  // --- Filter: bounded Myers rejects provably non-qualifying windows ------
-  std::vector<Candidate> survivors;
-  seq::ReadPairSet verify_set;
-  const std::string_view genome{reference_};
-  for (const Candidate& candidate : candidates) {
-    const std::string& oriented =
-        candidate.reverse ? rc[candidate.read] : reads[candidate.read];
-    const std::string_view window =
-        genome.substr(candidate.begin, candidate.length);
-    if (options_.filter) {
-      const i64 threshold =
-          filter_threshold(oriented.size(), candidate.length);
-      const i64 distance =
-          baselines::myers_bounded_edit_distance(oriented, window, threshold);
-      if (distance > threshold) {
-        ++out.stats.filter_rejected;
-        continue;
-      }
+MapResult ReadMapper::map(const std::vector<std::string>& reads) {
+  MapResult out;
+  out.mappings.resize(reads.size());
+  out.stats.reads = reads.size();
+
+  // --- Seed + filter: one fused pass per read range, on the pool --------
+  const std::vector<std::pair<usize, usize>> ranges =
+      ThreadPool::partition(reads.size(), pool_->size());
+  std::vector<RangeSurvivors> parts(ranges.size());
+  pool_->parallel_for(ranges.size(), [&](usize first, usize last) {
+    for (usize i = first; i < last; ++i) {
+      seed_and_filter(reads, ranges[i].first, ranges[i].second, parts[i]);
     }
-    survivors.push_back(candidate);
-    verify_set.add({oriented, std::string(window)});
+  });
+
+  // Ranges are contiguous and in read order, so their concatenation is
+  // the serial (read, strand, start) enumeration order.
+  std::vector<Candidate> survivors;
+  std::vector<seq::ReadPair> pairs;
+  for (RangeSurvivors& part : parts) {
+    out.stats.candidates += part.candidates;
+    out.stats.filter_rejected += part.rejected;
+    survivors.insert(survivors.end(), part.survivors.begin(),
+                     part.survivors.end());
+    pairs.insert(pairs.end(), std::make_move_iterator(part.pairs.begin()),
+                 std::make_move_iterator(part.pairs.end()));
   }
   out.stats.verified = survivors.size();
+  const seq::ReadPairSet verify_set(std::move(pairs));
 
   // --- Verify: capped affine WFA over the survivor batch ------------------
   align::BatchResult batch_result;
@@ -186,12 +194,10 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
       const i64 per_edit =
           std::max<i64>(p.mismatch, p.gap_open + p.gap_extend);
       i64 max_threshold = 0;
-      for (const Candidate& candidate : survivors) {
-        const usize read_length = candidate.reverse
-                                      ? rc[candidate.read].size()
-                                      : reads[candidate.read].size();
-        max_threshold = std::max(
-            max_threshold, filter_threshold(read_length, candidate.length));
+      for (const seq::ReadPair& pair : verify_set.pairs()) {
+        max_threshold =
+            std::max(max_threshold,
+                     filter_threshold(pair.pattern.size(), pair.text.size()));
       }
       batch_options.pim_max_score = static_cast<u64>(max_threshold * per_edit);
     }
@@ -210,7 +216,7 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
       auto backend =
           align::backend_registry().create(options_.backend, batch_options);
       batch_result = backend->run(seq::ReadPairSpan(verify_set),
-                                  align::AlignmentScope::kFull);
+                                  align::AlignmentScope::kFull, pool_.get());
     }
     PIMWFA_CHECK(batch_result.results.size() == survivors.size(),
                  "backend under-materialized the verification batch: "
@@ -225,11 +231,11 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
   // tie-break makes filtered and brute-force mapping bit-identical.
   for (usize i = 0; i < survivors.size(); ++i) {
     const Candidate& candidate = survivors[i];
+    const seq::ReadPair& pair = verify_set[i];
     const align::AlignmentResult& result = batch_result.results[i];
-    const usize read_length = candidate.reverse
-                                  ? rc[candidate.read].size()
-                                  : reads[candidate.read].size();
-    if (result.score > score_cap(read_length, candidate.length)) continue;
+    if (result.score > score_cap(pair.pattern.size(), pair.text.size())) {
+      continue;
+    }
     ++out.stats.qualified;
     Mapping& best = out.mappings[candidate.read];
     if (!best.mapped || result.score < best.score) {

@@ -5,8 +5,16 @@
 // Navarro & Raffinot; floxer is the modern incarnation): candidate
 // windows voted by exact k-mer seeds first pass a bit-parallel Myers
 // edit-distance filter with a divergence-derived threshold, and only the
-// survivors pay for gap-affine WFA - batched, zero-copy, through any
-// registered backend or the asynchronous BatchEngine.
+// survivors pay for gap-affine WFA - copied once into one owned
+// ReadPairSet and passed as a span to any registered backend or the
+// asynchronous BatchEngine.
+//
+// Seeding and filtering run fused, per contiguous read range, on a
+// worker pool the mapper owns (batch.cpu_threads workers, 0 = hardware
+// threads); each read is preprocessed once for the Myers filter of all
+// its windows. Ranges are concatenated in read order, so the survivor
+// batch - and with it every mapping - is independent of the worker
+// count. Direct backend verification runs on the same pool.
 //
 // The filter is *lossless* by construction, which is what makes the
 // bit-identity guarantee testable: a mapping qualifies iff its affine
@@ -19,12 +27,15 @@
 // on every backend.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "align/batch.hpp"
+#include "common/thread_pool.hpp"
 #include "map/index.hpp"
 #include "seq/cigar.hpp"
+#include "seq/dataset.hpp"
 
 namespace pimwfa::map {
 
@@ -39,10 +50,6 @@ struct MapperOptions {
   // window padding, the Myers filter threshold, the qualifying score cap
   // - derives from this single knob.
   double error_rate = 0.02;
-  // Window padding on each side of the voted start (0 = auto:
-  // 2 * ceil(error_rate * length), enough slack for every placement
-  // within the budget).
-  usize pad = 0;
 
   // Hierarchical verification: when true, candidates whose Myers edit
   // distance exceeds filter_threshold never reach the WFA. Turning it
@@ -99,9 +106,9 @@ struct MapResult {
 
 class ReadMapper {
  public:
-  // Indexes `reference` (owned by the mapper; candidate windows are
-  // zero-copy views into it). Throws InvalidArgument for an empty
-  // reference or out-of-range options.
+  // Indexes `reference` (owned by the mapper; the filter reads candidate
+  // windows as views into it) and starts the worker pool. Throws
+  // InvalidArgument for an empty reference or out-of-range options.
   ReadMapper(std::string reference, MapperOptions options);
 
   // Maps every read: seed -> filter -> capped batched WFA -> best
@@ -122,9 +129,34 @@ class ReadMapper {
   const MapperOptions& options() const noexcept { return options_; }
 
  private:
+  // One filter survivor: read `read`, oriented per `reverse`, voted to
+  // start at reference position `start`.
+  struct Candidate {
+    usize read = 0;
+    usize start = 0;
+    bool reverse = false;
+  };
+
+  // What one read range's seed + filter pass hands to verification:
+  // its survivors in (read, strand, start) order, each with its owned
+  // (oriented read, padded window) pair, and the range's counts.
+  struct RangeSurvivors {
+    std::vector<Candidate> survivors;
+    std::vector<seq::ReadPair> pairs;
+    usize candidates = 0;
+    usize rejected = 0;
+  };
+
+  // Seeds, votes and filters reads [first, last) into `out`.
+  void seed_and_filter(const std::vector<std::string>& reads, usize first,
+                       usize last, RangeSurvivors& out) const;
+
   std::string reference_;
   MapperOptions options_;
   KmerIndex index_;
+  // Runs the seed + filter ranges and the verification batch; sized like
+  // the cpu backend's workers (batch.cpu_threads, 0 = hardware threads).
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace pimwfa::map

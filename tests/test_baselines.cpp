@@ -200,6 +200,58 @@ TEST(Myers, EmptyInputs) {
   EXPECT_EQ(myers_edit_distance("", ""), 0);
 }
 
+// One matcher reused across patterns of shrinking length - three, two,
+// one block, then empty - so a Peq row or block state left over from a
+// longer pattern would surface as a wrong distance. Bytes outside ACGT
+// (N, lowercase, 0xFF) appear in both pattern and text.
+TEST(MyersMatcher, ReuseAcrossShrinkingPatternsMatchesLevenshtein) {
+  Rng rng(27);
+  const std::string alphabet = std::string("ACGTNacgt") + '\xFF';
+  auto random_byte = [&] { return alphabet[rng.next_below(alphabet.size())]; };
+  auto random_bytes = [&](usize n) {
+    std::string bytes(n, 'A');
+    for (char& c : bytes) c = random_byte();
+    return bytes;
+  };
+  // `edits` random substitutions, insertions and deletions.
+  auto mutate = [&](std::string bytes, usize edits) {
+    for (usize e = 0; e < edits; ++e) {
+      const usize at = rng.next_below(bytes.size() + 1);
+      const u64 kind = bytes.empty() || at == bytes.size()
+                           ? 1
+                           : rng.next_below(3);
+      if (kind == 0) {
+        bytes[at] = random_byte();
+      } else if (kind == 1) {
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+                     random_byte());
+      } else {
+        bytes.erase(at, 1);
+      }
+    }
+    return bytes;
+  };
+
+  MyersMatcher matcher;
+  for (const usize length : {129u, 100u, 65u, 64u, 1u, 0u}) {
+    const std::string pattern = random_bytes(length);
+    matcher.set_pattern(pattern);
+    for (int trial = 0; trial < 12; ++trial) {
+      // Near texts (a few edits) and unrelated ones of nearby length.
+      const std::string text =
+          trial % 2 == 0
+              ? mutate(pattern, rng.next_below(6))
+              : random_bytes(length + rng.next_below(9));
+      const i64 d = levenshtein(pattern, text);
+      EXPECT_EQ(matcher.distance(text), d) << length << " " << trial;
+      for (i64 t = 0; t <= d + 2; ++t) {
+        EXPECT_EQ(matcher.bounded_distance(text, t), std::min(d, t + 1))
+            << length << " " << trial << " t=" << t;
+      }
+    }
+  }
+}
+
 TEST(BandedEdit, WithinThresholdIsExact) {
   Rng rng(22);
   for (int trial = 0; trial < 25; ++trial) {

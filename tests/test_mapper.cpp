@@ -380,6 +380,74 @@ TEST(BitIdentityAcrossBackends, EngineShardsMatchDirectRun) {
   expect_identical(direct, engine, "engine-sharded");
 }
 
+// --- thread-count invariance ----------------------------------------------
+// Seeding, filtering and verification all run on the mapper's pool of
+// batch.cpu_threads workers; the worker count must never change a
+// mapping or a count.
+
+void expect_same_counts(const MapperStats& a, const MapperStats& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.reads, b.reads) << label;
+  EXPECT_EQ(a.candidates, b.candidates) << label;
+  EXPECT_EQ(a.filter_rejected, b.filter_rejected) << label;
+  EXPECT_EQ(a.verified, b.verified) << label;
+  EXPECT_EQ(a.qualified, b.qualified) << label;
+}
+
+class ThreadCountInvariance : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ThreadCountInvariance, MappingsAndCountsMatchOneThread) {
+  const Workload workload;
+  for (const bool filter : {true, false}) {
+    MapperOptions options = backend_options(GetParam());
+    options.filter = filter;
+    options.batch.cpu_threads = 1;
+    const MapResult serial =
+        ReadMapper(workload.genome, options).map(workload.queries);
+    EXPECT_GT(serial.stats.qualified, 0u);
+    for (const usize threads : {2u, 3u}) {
+      options.batch.cpu_threads = threads;
+      const MapResult pooled =
+          ReadMapper(workload.genome, options).map(workload.queries);
+      const std::string label = std::string(GetParam()) + " filter=" +
+                                (filter ? "on" : "off") +
+                                " threads=" + std::to_string(threads);
+      expect_identical(serial, pooled, label);
+      expect_same_counts(serial.stats, pooled.stats, label);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ThreadCountInvariance,
+                         ::testing::Values("cpu", "pim"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+TEST(ThreadCountInvarianceEdges, MoreThreadsThanReads) {
+  const Workload workload;
+  const std::vector<std::string> reads(workload.queries.begin(),
+                                       workload.queries.begin() + 3);
+  MapperOptions options = backend_options("cpu");
+  options.batch.cpu_threads = 1;
+  const MapResult serial = ReadMapper(workload.genome, options).map(reads);
+  options.batch.cpu_threads = 4;
+  const MapResult pooled = ReadMapper(workload.genome, options).map(reads);
+  ASSERT_EQ(pooled.mappings.size(), 3u);
+  EXPECT_GT(serial.stats.candidates, 0u);
+  expect_identical(serial, pooled, "3 reads, 4 threads");
+  expect_same_counts(serial.stats, pooled.stats, "3 reads, 4 threads");
+}
+
+TEST(ThreadCountInvarianceEdges, EmptyReadList) {
+  const Workload workload;
+  MapperOptions options = backend_options("cpu");
+  options.batch.cpu_threads = 3;
+  const MapResult result = ReadMapper(workload.genome, options).map({});
+  EXPECT_TRUE(result.mappings.empty());
+  expect_same_counts(result.stats, MapperStats{}, "empty read list");
+}
+
 // --- end-to-end mapping quality ------------------------------------------
 
 TEST(ReadMapper, MapsBothStrandsToTheTrueLocus) {
