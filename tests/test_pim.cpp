@@ -7,6 +7,7 @@
 #include "align/verify.hpp"
 #include "pim/host.hpp"
 #include "pim/meta_space.hpp"
+#include "pim/tiling.hpp"
 #include "seq/generator.hpp"
 #include "test_util.hpp"
 #include "wfa/wfa_aligner.hpp"
@@ -528,6 +529,115 @@ TEST(PimBatch, TimingBreakdownSane) {
   EXPECT_GT(t.bytes_to_device, batch.stats().total_bases);
   EXPECT_GT(t.work.instructions, 0u);
   EXPECT_GT(t.work.dma_calls, 0u);
+}
+
+// --- golden DPU counters ------------------------------------------------
+
+// The kernel's simulated work on fixed inputs, pinned to exact values: the
+// instructions it charges, the DMA calls and bytes it issues, and the
+// slowest DPU's cycles. These drive every modeled PIM figure, so a change
+// that only restructures the kernel's code must leave all of them as they
+// are.
+struct GoldenCase {
+  const char* name;
+  MetadataPolicy policy;
+  usize tasklets;
+  AlignmentScope scope;
+  bool packed;
+  u64 instructions, dma_calls, dma_bytes, cycles_max;
+};
+
+void expect_golden(const GoldenCase& c, const seq::ReadPairSet& batch,
+                   PimOptions options,
+                   const std::vector<align::AlignmentResult>& expected) {
+  SCOPED_TRACE(c.name);
+  options.nr_tasklets = c.tasklets;
+  options.policy = c.policy;
+  options.packed_sequences = c.packed;
+  // Bounds the descriptor table a WRAM arena must hold.
+  if (c.policy == MetadataPolicy::kWram) options.max_score = 64;
+  PimBatchAligner aligner(options);
+  const PimBatchResult result = aligner.align_batch(batch, c.scope);
+  EXPECT_EQ(result.results, expected);
+  const PimTimings& t = result.timings;
+  EXPECT_EQ(t.work.instructions, c.instructions);
+  EXPECT_EQ(t.work.dma_calls, c.dma_calls);
+  EXPECT_EQ(t.work.dma_bytes, c.dma_bytes);
+  EXPECT_EQ(t.kernel_cycles_max, c.cycles_max);
+}
+
+TEST(PimGoldenCounters, Fig1BatchAcrossPoliciesScopesAndPacking) {
+  const seq::ReadPairSet batch = seq::fig1_dataset(48, 0.04, 31);
+  constexpr auto kMram = MetadataPolicy::kMram;
+  constexpr auto kWram = MetadataPolicy::kWram;
+  constexpr auto kFull = AlignmentScope::kFull;
+  constexpr auto kScore = AlignmentScope::kScoreOnly;
+  const GoldenCase cases[] = {
+      {"mram_full_plain", kMram, 8, kFull, false,
+       1383105, 11102, 530768, 1314618},
+      {"mram_full_packed", kMram, 8, kFull, true,
+       1411989, 11102, 523856, 1334103},
+      {"mram_score_plain", kMram, 8, kScore, false,
+       1328938, 9803, 502832, 1266788},
+      {"mram_score_packed", kMram, 8, kScore, true,
+       1357822, 9803, 495920, 1286273},
+      {"wram_full_plain", kWram, 2, kFull, false,
+       1127955, 244, 16160, 3297257},
+      {"wram_full_packed", kWram, 2, kFull, true,
+       1156839, 244, 9248, 3375758},
+      {"wram_score_plain", kWram, 2, kScore, false,
+       1073788, 196, 11168, 3145108},
+      {"wram_score_packed", kWram, 2, kScore, true,
+       1102672, 196, 4256, 3223609},
+  };
+  wfa::WfaAligner host(Penalties::defaults());
+  for (const GoldenCase& c : cases) {
+    std::vector<align::AlignmentResult> expected;
+    for (usize i = 0; i < batch.size(); ++i) {
+      expected.push_back(host.align(batch[i].pattern, batch[i].text, c.scope));
+    }
+    expect_golden(c, batch, tiny_options(2, c.tasklets), expected);
+  }
+}
+
+// A long pair with indels at its tiling cuts: its segments begin and end
+// inside gap runs, so the kernel's seam seeding, termination and backtrace
+// all run. The expected result stitches the host's span alignments of the
+// same segments.
+TEST(PimGoldenCounters, TiledPairWithGapSeams) {
+  Rng rng(197);
+  seq::ReadPairSet batch;
+  batch.add(pimwfa::testing::random_pair(rng, 900, 120));
+  const std::string& pattern = batch[0].pattern;
+  const std::string& text = batch[0].text;
+  PimOptions options = tiny_options(1, 4);
+  options.tile_max_segment_bases = 256;
+  TilingConfig config;
+  config.arena_budget_bytes = u64{1} << 30;
+  config.max_segment_bases = options.tile_max_segment_bases;
+  TilingPlanner planner(config);
+  std::vector<TileSegment> segments;
+  planner.plan_pair(0, pattern, text, segments);
+  usize i_seams = 0, d_seams = 0;
+  wfa::WfaAligner host(Penalties::defaults());
+  std::vector<align::AlignmentResult> spans;
+  for (const TileSegment& seg : segments) {
+    i_seams += seg.end == wfa::WfaAligner::Component::kI;
+    d_seams += seg.end == wfa::WfaAligner::Component::kD;
+    spans.push_back(host.align_span(
+        std::string_view(pattern).substr(seg.v0, seg.pattern_length()),
+        std::string_view(text).substr(seg.h0, seg.text_length()),
+        AlignmentScope::kFull, seg.begin, seg.end));
+  }
+  ASSERT_GT(i_seams, 0u) << "no segment boundary lies in an insertion";
+  ASSERT_GT(d_seams, 0u) << "no segment boundary lies in a deletion";
+  const align::AlignmentResult stitched =
+      stitch_segments(segments, 0, segments.size(), spans, true);
+  EXPECT_EQ(stitched.score,
+            host.align(pattern, text, AlignmentScope::kScoreOnly).score);
+  expect_golden({"tiled_full", MetadataPolicy::kMram, 4,
+                 AlignmentScope::kFull, false, 1847916, 9349, 746112, 6907989},
+                batch, options, {stitched});
 }
 
 #ifdef __linux__
