@@ -7,30 +7,20 @@
 #include "common/bits.hpp"
 #include "common/check.hpp"
 #include "seq/alphabet.hpp"
+#include "wfa/kernels.hpp"
+#include "wfa/wfa_core.hpp"
 
 namespace pimwfa::pim {
 namespace {
 
-using wfa::kOffsetNone;
+using wfa::Component;
 using wfa::Offset;
 
-// Mismatch-predecessor candidate, trimmed against sequence bounds. Must be
-// byte-identical to the host-side helper in wfa_aligner.cpp so that DPU
-// and CPU alignments agree exactly.
-inline Offset mismatch_candidate(Offset prev, i32 k, i32 plen,
-                                 i32 tlen) noexcept {
-  if (!wfa::offset_reachable(prev)) return kOffsetNone;
-  const Offset off = prev + 1;
-  if (off > tlen || off - k > plen) return kOffsetNone;
-  return off;
-}
-
-inline Offset max3(Offset a, Offset b, Offset c) noexcept {
-  return std::max(a, std::max(b, c));
-}
-
 // Per-tasklet kernel engine: owns the WRAM buffers and the staging
-// windows, processes this tasklet's share of the batch.
+// windows, processes this tasklet's share of the batch. It is also the
+// storage policy the WFA core (wfa/wfa_core.hpp) runs on: rows are
+// MetaSpace descriptors and offset arrays reached through OffsetWindows,
+// and every operation is charged to the tasklet through KernelCosts.
 class Engine {
  public:
   Engine(upmem::TaskletCtx& ctx, const KernelCosts& costs)
@@ -96,6 +86,105 @@ class Engine {
     }
   }
 
+  // --- storage policy of wfa::core ---------------------------------------
+  using Set = WfDesc;
+  struct Source {
+    u64 handle = 0;  // 0: absent
+    i32 lo = 0;
+    i32 hi = -1;
+  };
+  using Fault = HardwareFault;
+  struct Row {
+    OffsetWindow* w = nullptr;
+    i32 lo = 0;
+    i32 hi = -1;
+    Offset get(i32 k) { return w->get(k); }
+    void set(i32 k, Offset value) { w->set(k, value); }
+    void flush() { w->flush(); }
+  };
+  struct Out {
+    OffsetWindow& m;
+    OffsetWindow& i;
+    OffsetWindow& d;
+    WfDesc desc;
+  };
+
+  Set set(i64 score) { return space_->read_desc(static_cast<u64>(score)); }
+  static Source source(const WfDesc& desc, Component c) {
+    const u64 handle = c == Component::kM   ? desc.m_addr
+                       : c == Component::kI ? desc.i_addr
+                                            : desc.d_addr;
+    return {handle, desc.lo, desc.hi};
+  }
+  static wfa::core::Extent extent(const Source& src) {
+    return src.handle != 0 ? wfa::core::Extent{src.lo, src.hi}
+                           : wfa::core::kNoExtent;
+  }
+
+  void begin_row(i64) { ctx_.account(costs_.score_step); }
+  void null_row(i64 score) {
+    space_->write_desc(static_cast<u64>(score), WfDesc{});
+  }
+  Out open_row(i64, i32 lo, i32 hi, bool with_i, bool with_d) {
+    const usize width = static_cast<usize>(hi - lo + 1);
+    Out out{win(kWOutM), win(kWOutI), win(kWOutD), WfDesc{}};
+    out.desc.lo = lo;
+    out.desc.hi = hi;
+    out.desc.m_addr = space_->alloc_offsets(width);
+    if (with_i) out.desc.i_addr = space_->alloc_offsets(width);
+    if (with_d) out.desc.d_addr = space_->alloc_offsets(width);
+    out.m.bind(out.desc.m_addr, lo, hi, true);
+    if (with_i) out.i.bind(out.desc.i_addr, lo, hi, true);
+    if (with_d) out.d.bind(out.desc.d_addr, lo, hi, true);
+    return out;
+  }
+  void fill_row(Out& out, const wfa::core::Sources<Source>& src, i32 lo,
+                i32 hi) {
+    bind_source(kWSub, src.m_sub);
+    bind_source(kWGapLo, src.m_gap);
+    bind_source(kWGapHi, src.m_gap);
+    bind_source(kWIExt, src.i_ext);
+    bind_source(kWDExt, src.d_ext);
+    wfa::core::recurrence_row(win(kWSub), win(kWGapLo), win(kWGapHi),
+                              win(kWIExt), win(kWDExt), out.m, out.i, out.d,
+                              lo, hi, plen_, tlen_);
+    const u64 cell_cost =
+        costs_.cell + (space_->in_wram() ? 0 : costs_.cell_mram_extra);
+    ctx_.account(static_cast<u64>(hi - lo + 1) * cell_cost);
+  }
+  void close_row(i64 score, Out& out) {
+    out.m.flush();
+    out.i.flush();
+    out.d.flush();
+    space_->write_desc(static_cast<u64>(score), out.desc);
+  }
+
+  bool extend_row(i64 score, Row& row) {
+    const WfDesc desc = set(score);
+    if (!desc.exists()) return false;
+    win(kWExt).bind(desc.m_addr, desc.lo, desc.hi, /*writable=*/true);
+    row = Row{&win(kWExt), desc.lo, desc.hi};
+    return true;
+  }
+  usize match_run(const char* a, const char* b, usize max) {
+    const usize run = wfa::match_run_scalar(a, b, max);
+    ctx_.account(costs_.extend_probe + run * costs_.extend_match);
+    return run;
+  }
+
+  Offset offset(i64 score, Component c, i32 k) {
+    const Source src = source(set(score), c);
+    return space_->read_offset(src.handle, src.lo, src.hi, k);
+  }
+  void backtrace_step() { ctx_.account(costs_.backtrace_step); }
+  // Ops land back to front in the WRAM CIGAR buffer.
+  void emit(char op, usize n) {
+    PIMWFA_HW_CHECK(n <= cigar_pos_, "CIGAR buffer overflow in DPU backtrace");
+    cigar_pos_ -= n;
+    std::memset(ctx_.wram_ptr(cigar_off_ + cigar_pos_, n), op, n);
+    ctx_.account(n * costs_.cigar_byte);
+  }
+
  private:
   // Window roles.
   enum : usize {
@@ -120,8 +209,8 @@ class Engine {
     std::memcpy(lens, ctx_.wram_ptr(stage_off_, 8), 8);
     // Tiled segments carry their seam components in the top length bits
     // (see layout.hpp); plain pairs decode to M/M.
-    begin_ = lens[0] >> kPairCompShift;
-    end_ = lens[1] >> kPairCompShift;
+    begin_ = decode_pair_comp(lens[0]);
+    end_ = decode_pair_comp(lens[1]);
     plen_ = static_cast<i32>(lens[0] & kPairLenMask);
     tlen_ = static_cast<i32>(lens[1] & kPairLenMask);
     PIMWFA_HW_CHECK(static_cast<u32>(plen_) <= hdr_.max_pattern &&
@@ -162,227 +251,13 @@ class Engine {
     ctx_.account(static_cast<u64>(bases) * 3);
   }
 
-  bool extend_and_check(u64 score) {
-    const WfDesc desc = space_->read_desc(score);
-    if (!desc.exists()) return false;
-    OffsetWindow& m = win(kWExt);
-    m.bind(desc.m_addr, desc.lo, desc.hi, /*writable=*/true);
-    const i32 k_final = tlen_ - plen_;
-    bool done = false;
-    for (i32 k = desc.lo; k <= desc.hi; ++k) {
-      Offset off = m.get(k);
-      if (!wfa::offset_reachable(off)) continue;
-      i32 v = off - k;
-      u64 matched = 0;
-      while (v < plen_ && off < tlen_ &&
-             pattern_[static_cast<usize>(v)] == text_[static_cast<usize>(off)]) {
-        ++v;
-        ++off;
-        ++matched;
-      }
-      ctx_.account(costs_.extend_probe + matched * costs_.extend_match);
-      m.set(k, off);
-      if (k == k_final && off >= tlen_) done = true;
-    }
-    m.flush();
-    return done;
+  wfa::core::Problem problem() const {
+    return {pattern_, text_, plen_, tlen_, hdr_.mismatch,
+            hdr_.gap_open + hdr_.gap_extend, hdr_.gap_extend};
   }
 
-  // Span termination: an end_ of I/D means the (sub)alignment must end in
-  // that gap component - M reaching the corner does not terminate it.
-  bool hits_end(u64 score, bool m_done) {
-    if (end_ == 0) return m_done;
-    const WfDesc desc = space_->read_desc(score);
-    if (!desc.exists()) return false;
-    const u64 handle = end_ == 1 ? desc.i_addr : desc.d_addr;
-    const Offset off =
-        space_->read_offset(handle, desc.lo, desc.hi, tlen_ - plen_);
-    return wfa::offset_reachable(off) && off >= tlen_;
-  }
-
-  void compute_next(u64 score) {
-    ctx_.account(costs_.score_step);
-    const i32 x = hdr_.mismatch;
-    const i32 oe = hdr_.gap_open + hdr_.gap_extend;
-    const i32 e = hdr_.gap_extend;
-
-    const WfDesc sub_d =
-        score >= static_cast<u64>(x) ? space_->read_desc(score - x) : WfDesc{};
-    const WfDesc gap_d =
-        score >= static_cast<u64>(oe) ? space_->read_desc(score - oe) : WfDesc{};
-    const WfDesc ext_d =
-        score >= static_cast<u64>(e) ? space_->read_desc(score - e) : WfDesc{};
-
-    const bool has_sub = sub_d.m_addr != 0;
-    const bool has_gap = gap_d.m_addr != 0;
-    const bool has_i = ext_d.i_addr != 0;
-    const bool has_d = ext_d.d_addr != 0;
-    if (!has_sub && !has_gap && !has_i && !has_d) {
-      space_->write_desc(score, WfDesc{});  // unreachable score (hole)
-      return;
-    }
-
-    i32 lo = std::numeric_limits<i32>::max();
-    i32 hi = std::numeric_limits<i32>::min();
-    if (has_sub) {
-      lo = std::min(lo, sub_d.lo - 1);
-      hi = std::max(hi, sub_d.hi + 1);
-    }
-    if (has_gap) {
-      lo = std::min(lo, gap_d.lo - 1);
-      hi = std::max(hi, gap_d.hi + 1);
-    }
-    if (has_i || has_d) {
-      lo = std::min(lo, ext_d.lo - 1);
-      hi = std::max(hi, ext_d.hi + 1);
-    }
-    lo = std::max(lo, -plen_);
-    hi = std::min(hi, tlen_);
-    if (lo > hi) {
-      space_->write_desc(score, WfDesc{});
-      return;
-    }
-
-    const usize width = static_cast<usize>(hi - lo + 1);
-    WfDesc out;
-    out.lo = lo;
-    out.hi = hi;
-    out.m_addr = space_->alloc_offsets(width);
-    out.i_addr = space_->alloc_offsets(width);
-    out.d_addr = space_->alloc_offsets(width);
-
-    win(kWSub).bind(sub_d.m_addr, sub_d.lo, sub_d.hi, false);
-    win(kWGapLo).bind(gap_d.m_addr, gap_d.lo, gap_d.hi, false);
-    win(kWGapHi).bind(gap_d.m_addr, gap_d.lo, gap_d.hi, false);
-    win(kWIExt).bind(has_i ? ext_d.i_addr : 0, ext_d.lo, ext_d.hi, false);
-    win(kWDExt).bind(has_d ? ext_d.d_addr : 0, ext_d.lo, ext_d.hi, false);
-    win(kWOutM).bind(out.m_addr, lo, hi, true);
-    win(kWOutI).bind(out.i_addr, lo, hi, true);
-    win(kWOutD).bind(out.d_addr, lo, hi, true);
-
-    const u64 cell_cost =
-        costs_.cell + (space_->in_wram() ? 0 : costs_.cell_mram_extra);
-    for (i32 k = lo; k <= hi; ++k) {
-      Offset ins = std::max(win(kWGapLo).get(k - 1), win(kWIExt).get(k - 1));
-      if (wfa::offset_reachable(ins)) {
-        ++ins;
-        if (ins > tlen_) ins = kOffsetNone;
-      } else {
-        ins = kOffsetNone;
-      }
-      Offset del = std::max(win(kWGapHi).get(k + 1), win(kWDExt).get(k + 1));
-      if (!wfa::offset_reachable(del) || del - k > plen_) del = kOffsetNone;
-      const Offset sub = mismatch_candidate(win(kWSub).get(k), k, plen_, tlen_);
-      Offset best = max3(sub, ins, del);
-      if (!wfa::offset_reachable(best)) best = kOffsetNone;
-      win(kWOutI).set(k, ins);
-      win(kWOutD).set(k, del);
-      win(kWOutM).set(k, best);
-      ctx_.account(cell_cost);
-    }
-    win(kWOutM).flush();
-    win(kWOutI).flush();
-    win(kWOutD).flush();
-    space_->write_desc(score, out);
-  }
-
-  // Backtrace into the WRAM CIGAR buffer, written back-to-front so the
-  // final ops end up in forward order. Returns the op count.
-  usize backtrace(u64 final_score) {
-    const i32 x = hdr_.mismatch;
-    const i32 oe = hdr_.gap_open + hdr_.gap_extend;
-    const i32 e = hdr_.gap_extend;
-    u8* cigar = ctx_.wram_ptr(cigar_off_, cigar_cap_);
-    usize pos = static_cast<usize>(cigar_cap_);
-    auto emit = [&](char op) {
-      PIMWFA_HW_CHECK(pos > 0, "CIGAR buffer overflow in DPU backtrace");
-      cigar[--pos] = static_cast<u8>(op);
-      ctx_.account(costs_.cigar_byte);
-    };
-
-    enum class State { kM, kI, kD };
-    u64 s = final_score;
-    i32 k = tlen_ - plen_;
-    Offset off = tlen_;
-    State state = end_ == 1 ? State::kI : end_ == 2 ? State::kD : State::kM;
-    auto comp_at = [&](u64 score, char comp, i32 kk) -> Offset {
-      const WfDesc d = space_->read_desc(score);
-      const u64 handle =
-          comp == 'm' ? d.m_addr : (comp == 'i' ? d.i_addr : d.d_addr);
-      return space_->read_offset(handle, d.lo, d.hi, kk);
-    };
-
-    while (true) {
-      ctx_.account(costs_.backtrace_step);
-      if (state == State::kM) {
-        const Offset sub =
-            s >= static_cast<u64>(x)
-                ? mismatch_candidate(comp_at(s - x, 'm', k), k, plen_, tlen_)
-                : kOffsetNone;
-        const Offset ins = comp_at(s, 'i', k);
-        const Offset del = comp_at(s, 'd', k);
-        const Offset best = max3(sub, ins, del);
-        if (!wfa::offset_reachable(best)) {
-          PIMWFA_HW_CHECK(s == 0 && k == 0, "DPU backtrace stuck");
-          for (Offset i = 0; i < off; ++i) emit('M');
-          break;
-        }
-        PIMWFA_HW_CHECK(off >= best, "DPU backtrace offset regression");
-        for (Offset i = best; i < off; ++i) emit('M');
-        off = best;
-        if (sub == best) {
-          emit('X');
-          s -= static_cast<u64>(x);
-          --off;
-        } else if (ins == best) {
-          state = State::kI;
-        } else {
-          state = State::kD;
-        }
-      } else if (state == State::kI) {
-        // The span seed I[0][0] is the entry state, not an operation.
-        if (begin_ == 1 && s == 0 && k == 0 && off == 0) break;
-        emit('I');
-        const Offset open_src =
-            s >= static_cast<u64>(oe) ? comp_at(s - oe, 'm', k - 1)
-                                      : kOffsetNone;
-        if (open_src == off - 1) {
-          state = State::kM;
-          s -= static_cast<u64>(oe);
-        } else {
-          const Offset ext_src = s >= static_cast<u64>(e)
-                                     ? comp_at(s - e, 'i', k - 1)
-                                     : kOffsetNone;
-          PIMWFA_HW_CHECK(ext_src == off - 1, "DPU backtrace broken I chain");
-          s -= static_cast<u64>(e);
-        }
-        --off;
-        --k;
-      } else {
-        if (begin_ == 2 && s == 0 && k == 0 && off == 0) break;
-        emit('D');
-        const Offset open_src =
-            s >= static_cast<u64>(oe) ? comp_at(s - oe, 'm', k + 1)
-                                      : kOffsetNone;
-        if (open_src == off) {
-          state = State::kM;
-          s -= static_cast<u64>(oe);
-        } else {
-          const Offset ext_src = s >= static_cast<u64>(e)
-                                     ? comp_at(s - e, 'd', k + 1)
-                                     : kOffsetNone;
-          PIMWFA_HW_CHECK(ext_src == off, "DPU backtrace broken D chain");
-          s -= static_cast<u64>(e);
-        }
-        ++k;
-      }
-    }
-
-    // Compact the ops to the buffer start for an aligned DMA out.
-    const usize len = static_cast<usize>(cigar_cap_) - pos;
-    std::memmove(cigar, cigar + pos, len);
-    ctx_.account(len * 2);
-    return len;
+  void bind_source(usize role, const Source& src) {
+    win(role).bind(src.handle, src.lo, src.hi, false);
   }
 
   void align_pair(u64 pair) {
@@ -394,15 +269,9 @@ class Engine {
     usize cigar_len = 0;
 
     if (plen_ == 0 || tlen_ == 0) {
-      // Degenerate pair: one all-gap alignment. A tiled segment that
-      // continues its begin component's seam run pays no gap_open (the
-      // upstream segment already did).
-      const i32 gap = plen_ + tlen_;
-      const bool seam = (tlen_ > 0 && begin_ == 1) ||
-                        (plen_ > 0 && begin_ == 2);
-      score = gap == 0 ? 0
-                       : (seam ? 0 : static_cast<u64>(hdr_.gap_open)) +
-                             static_cast<u64>(gap) * hdr_.gap_extend;
+      score = static_cast<u64>(wfa::core::gap_run_score(
+          hdr_.gap_open, hdr_.gap_extend, begin_, static_cast<usize>(plen_),
+          static_cast<usize>(tlen_)));
       if (hdr_.full_alignment != 0) {
         u8* cigar = ctx_.wram_ptr(cigar_off_, cigar_cap_);
         for (i32 i = 0; i < tlen_; ++i) cigar[cigar_len++] = 'I';
@@ -410,41 +279,23 @@ class Engine {
         ctx_.account(cigar_len * costs_.cigar_byte);
       }
     } else {
-      // Score-0 seed on diagonal 0; a kI/kD begin also seeds its gap
-      // state (free gap-to-M transition) so the seam run extends at
-      // gap_extend cost without re-paying gap_open.
-      WfDesc d0;
-      d0.lo = 0;
-      d0.hi = 0;
-      d0.m_addr = space_->alloc_offsets(1);
-      OffsetWindow& seed = win(kWOutM);
-      seed.bind(d0.m_addr, 0, 0, true);
-      seed.set(0, 0);
-      seed.flush();
-      if (begin_ == 1) {
-        d0.i_addr = space_->alloc_offsets(1);
-        OffsetWindow& gi = win(kWOutI);
-        gi.bind(d0.i_addr, 0, 0, true);
-        gi.set(0, 0);
-        gi.flush();
-      } else if (begin_ == 2) {
-        d0.d_addr = space_->alloc_offsets(1);
-        OffsetWindow& gd = win(kWOutD);
-        gd.bind(d0.d_addr, 0, 0, true);
-        gd.set(0, 0);
-        gd.flush();
-      }
-      space_->write_desc(0, d0);
-
-      bool done = hits_end(0, extend_and_check(0));
+      const wfa::core::Problem p = problem();
+      bool done = wfa::core::start(*this, p, begin_, end_);
       while (!done) {
         ++score;
         PIMWFA_HW_CHECK(score <= hdr_.max_score,
                         "WFA exceeded batch score cap " << hdr_.max_score);
-        compute_next(score);
-        done = hits_end(score, extend_and_check(score));
+        done = wfa::core::step(*this, p, static_cast<i64>(score), end_);
       }
-      if (hdr_.full_alignment != 0) cigar_len = backtrace(score);
+      if (hdr_.full_alignment != 0) {
+        cigar_pos_ = static_cast<usize>(cigar_cap_);
+        wfa::core::backtrace(*this, p, static_cast<i64>(score), begin_, end_);
+        // Compact the ops to the buffer start for an aligned DMA out.
+        cigar_len = static_cast<usize>(cigar_cap_) - cigar_pos_;
+        u8* cigar = ctx_.wram_ptr(cigar_off_, cigar_cap_);
+        std::memmove(cigar, cigar + cigar_pos_, cigar_len);
+        ctx_.account(cigar_len * 2);
+      }
     }
 
     // Result record: [score, cigar_len] then the ops.
@@ -473,8 +324,9 @@ class Engine {
   u64 cigar_cap_ = 0;
   i32 plen_ = 0;
   i32 tlen_ = 0;
-  u32 begin_ = 0;  // seam components (0 = M, 1 = I, 2 = D)
-  u32 end_ = 0;
+  usize cigar_pos_ = 0;  // first op of the backtrace in the CIGAR buffer
+  Component begin_ = Component::kM;  // seam components of the pair
+  Component end_ = Component::kM;
   const char* pattern_ = nullptr;
   const char* text_ = nullptr;
   std::optional<MetaSpace> space_;

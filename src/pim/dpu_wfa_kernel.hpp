@@ -8,10 +8,12 @@
 //      (MRAM-resident + staged on demand, or WRAM-resident, per policy),
 //   3. write score (and CIGAR, in full-alignment batches) back to MRAM.
 //
-// The algorithm (recurrences, trimming, backtrace tie-breaking) mirrors
-// wfa::WfaAligner operation for operation - the paper applies "no
-// optimizations compared to the original WFA implementation" - so host and
-// DPU results are bit-identical, which the integration tests assert.
+// The algorithm (recurrences, trimming, termination, backtrace
+// tie-breaking) is wfa::WfaAligner's own: both run the one gap-affine core
+// in wfa/wfa_core.hpp - the paper applies "no optimizations compared to
+// the original WFA implementation" - so host and DPU results are
+// bit-identical. The kernel only supplies the storage (MetaSpace) and the
+// per-operation instruction costs (KernelCosts).
 #pragma once
 
 #include "pim/cost_table.hpp"

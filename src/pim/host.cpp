@@ -24,8 +24,9 @@ namespace {
 void write_pair_record(upmem::PimSystem& system, usize d,
                        const BatchLayout& layout, std::string_view pattern,
                        std::string_view text, usize slot, bool packed,
-                       std::vector<u8>& record, u32 begin_comp = 0,
-                       u32 end_comp = 0) {
+                       std::vector<u8>& record,
+                       wfa::Component begin_comp = wfa::Component::kM,
+                       wfa::Component end_comp = wfa::Component::kM) {
   record.assign(static_cast<usize>(layout.header().pair_stride), 0);
   const u32 lens[2] = {encode_pair_len(pattern.size(), begin_comp),
                        encode_pair_len(text.size(), end_comp)};
@@ -471,9 +472,8 @@ PimBatchResult run_tiled(const BatchRun& run, const TiledBatch& tiled,
         const TileSegment& seg = segments[s];
         write_pair_record(system, d, layout, segment_pattern(run.batch, seg),
                           segment_text(run.batch, seg), s - begin,
-                          run.options.packed_sequences, record,
-                          static_cast<u32>(seg.begin),
-                          static_cast<u32>(seg.end));
+                          run.options.packed_sequences, record, seg.begin,
+                          seg.end);
       }
     }
   }

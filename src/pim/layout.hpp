@@ -26,18 +26,27 @@
 #include "align/penalties.hpp"
 #include "common/types.hpp"
 #include "upmem/config.hpp"
+#include "wfa/wavefront.hpp"
 
 namespace pimwfa::pim {
 
 // Long-pair tiling rides the boundary components of a segment (see
-// wfa::WfaAligner::Component and pim/tiling.hpp) in the top two bits of
-// the PairRecord length fields: 0 = M, 1 = I, 2 = D. Plain pairs encode
-// 0/0, so untiled batches are byte-identical to the pre-tiling format.
+// wfa::Component and pim/tiling.hpp) in the top two bits of the
+// PairRecord length fields: 0 = M, 1 = I, 2 = D. Plain pairs encode 0/0,
+// so untiled batches are byte-identical to the pre-tiling format.
 inline constexpr u32 kPairLenMask = 0x3FFFFFFFu;
 inline constexpr u32 kPairCompShift = 30;
+static_assert(static_cast<u32>(wfa::Component::kM) == 0 &&
+                  static_cast<u32>(wfa::Component::kI) == 1 &&
+                  static_cast<u32>(wfa::Component::kD) == 2,
+              "the PairRecord seam encoding is wfa::Component's value");
 
-inline constexpr u32 encode_pair_len(usize len, u32 comp) noexcept {
-  return static_cast<u32>(len) | (comp << kPairCompShift);
+inline constexpr u32 encode_pair_len(usize len, wfa::Component comp) noexcept {
+  return static_cast<u32>(len) | (static_cast<u32>(comp) << kPairCompShift);
+}
+
+inline constexpr wfa::Component decode_pair_comp(u32 field) noexcept {
+  return static_cast<wfa::Component>(field >> kPairCompShift);
 }
 
 enum class MetadataPolicy : u32 {

@@ -30,18 +30,11 @@ TilingPlanner::TilingPlanner(TilingConfig config)
 
 u64 TilingPlanner::retained_arena_estimate(i64 score, usize plen,
                                            usize tlen) {
-  // Mirrors the DPU kernel's MetaSpace consumption: 3 offset arrays per
-  // score, widths growing 2s+1 until the band caps them, 8-byte
-  // allocation granularity per array.
-  const i64 band = static_cast<i64>(plen + tlen + 1);
-  const i64 knee = std::min(score, (band - 1) / 2);
-  const u64 growing = static_cast<u64>(knee + 1) * static_cast<u64>(knee + 1);
-  const u64 flat = score > knee
-                       ? static_cast<u64>(score - knee) * static_cast<u64>(band)
-                       : 0;
-  const u64 payload = (growing + flat) * 3u * sizeof(wfa::Offset);
+  // The DPU kernel's MetaSpace holds the same rows as a retained host
+  // pass, plus 8-byte allocation granularity per array.
   const u64 alloc_slack = static_cast<u64>(score + 1) * 3u * 8u;
-  return payload + alloc_slack;
+  return wfa::WfaAligner::retained_bytes_estimate(score, plen, tlen) +
+         alloc_slack;
 }
 
 void TilingPlanner::plan_pair(usize pair_index, std::string_view pattern,
@@ -78,17 +71,10 @@ void TilingPlanner::recurse(usize pair_index, std::string_view pattern,
     out.push_back(seg);
   };
 
-  // Degenerate subproblem: one gap run, seam-charged (the DPU kernel
-  // applies the same rule; keeping both in sync is what makes the
-  // stitched score verification meaningful).
+  // Degenerate subproblem: one gap run, scored by the same rule as the
+  // DPU kernel's (core::gap_run_score).
   if (plen == 0 || tlen == 0) {
-    i64 score = 0;
-    if (tlen > 0) {
-      score = (begin == Component::kI ? 0 : o) + static_cast<i64>(tlen) * e;
-    } else if (plen > 0) {
-      score = (begin == Component::kD ? 0 : o) + static_cast<i64>(plen) * e;
-    }
-    emit(score);
+    emit(wfa::core::gap_run_score(o, e, begin, plen, tlen));
     return;
   }
 

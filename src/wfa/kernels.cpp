@@ -1,43 +1,19 @@
 #include "wfa/kernels.hpp"
 
-#include <algorithm>
+#include "wfa/wfa_core.hpp"
 
 namespace pimwfa::wfa {
 
-usize match_run_scalar(const char* a, const char* b, usize max) {
-  usize i = 0;
-  while (i < max && a[i] == b[i]) ++i;
-  return i;
-}
-
 void compute_row_scalar(const ComputeRowArgs& args) {
-  const auto at = [](const Wavefront* w, i32 k) {
-    return w != nullptr ? w->at(k) : kOffsetNone;
+  struct Source {
+    const Wavefront* w;
+    Offset get(i32 k) const { return w != nullptr ? w->at(k) : kOffsetNone; }
   };
-  for (i32 k = args.lo; k <= args.hi; ++k) {
-    // I[s][k]: open from M[s-o-e][k-1] or extend I[s-e][k-1]; consumes one
-    // text base, so trim h <= tlen.
-    Offset ins = std::max(at(args.m_gap, k - 1), at(args.i_ext, k - 1));
-    if (offset_reachable(ins)) {
-      ++ins;
-      if (ins > args.tl) ins = kOffsetNone;
-    } else {
-      ins = kOffsetNone;
-    }
-    // D[s][k]: open from M[s-o-e][k+1] or extend D[s-e][k+1]; consumes one
-    // pattern base, so trim v = off - k <= plen.
-    Offset del = std::max(at(args.m_gap, k + 1), at(args.d_ext, k + 1));
-    if (!offset_reachable(del) || del - k > args.pl) del = kOffsetNone;
-    // M[s][k]: mismatch predecessor or close a gap opened this score.
-    const Offset sub =
-        mismatch_candidate(at(args.m_sub, k), k, args.pl, args.tl);
-    Offset best = std::max(sub, std::max(ins, del));
-    if (!offset_reachable(best)) best = kOffsetNone;
-
-    args.out_i->set(k, ins);
-    args.out_d->set(k, del);
-    args.out_m->set(k, best);
-  }
+  Source m_sub{args.m_sub}, m_gap{args.m_gap}, i_ext{args.i_ext},
+      d_ext{args.d_ext};
+  core::recurrence_row(m_sub, m_gap, m_gap, i_ext, d_ext, *args.out_m,
+                       *args.out_i, *args.out_d, args.lo, args.hi, args.pl,
+                       args.tl);
 }
 
 const WfaKernels& scalar_kernels() {

@@ -6,8 +6,9 @@
 // accelerated implementation (the SIMD backend under cpu/simd/) can
 // replace them without the wfa/ layer knowing about instruction sets.
 // Both kernels compute the exact same mathematical object as the scalar
-// defaults; any implementation plugged in here must stay bit-identical
-// (the differential harness enforces this across every dispatch level).
+// defaults, which run the core's own loops (wfa_core.hpp); any
+// implementation plugged in here must stay bit-identical (the
+// differential harness enforces this across every dispatch level).
 //
 // Lane-friendliness contract: every wavefront row is allocated with
 // kWavefrontPad sentinel slots (kOffsetNone) on each side of [lo, hi], so
@@ -25,18 +26,6 @@ namespace pimwfa::wfa {
 
 // Sentinel-filled slots allocated on both sides of every wavefront row.
 inline constexpr usize kWavefrontPad = 8;
-
-// Mismatch-predecessor candidate for M[s][k]: advance one along the
-// diagonal, trimmed against the sequence bounds (h <= tlen, v <= plen).
-// Shared by compute_row, the backtrace and the SIMD kernels so all see
-// identical values.
-inline Offset mismatch_candidate(Offset prev, i32 k, i32 plen,
-                                 i32 tlen) noexcept {
-  if (!offset_reachable(prev)) return kOffsetNone;
-  const Offset off = prev + 1;
-  if (off > tlen || off - k > plen) return kOffsetNone;
-  return off;
-}
 
 // Length of the common prefix of a[0..max) and b[0..max).
 using MatchRunFn = usize (*)(const char* a, const char* b, usize max);
@@ -65,8 +54,12 @@ struct WfaKernels {
   ComputeRowFn compute_row = nullptr;
 };
 
-// The portable byte-at-a-time defaults (the historical inner loops).
-usize match_run_scalar(const char* a, const char* b, usize max);
+// The portable defaults. The DPU kernel runs match_run_scalar too.
+inline usize match_run_scalar(const char* a, const char* b, usize max) {
+  usize i = 0;
+  while (i < max && a[i] == b[i]) ++i;
+  return i;
+}
 void compute_row_scalar(const ComputeRowArgs& args);
 const WfaKernels& scalar_kernels();
 

@@ -16,6 +16,14 @@ namespace pimwfa::wfa {
 
 using Offset = i32;
 
+// Boundary component of a (partial) alignment. Long-read machinery
+// (kUltralow recursion, PIM tiling) cuts a pair at a breakpoint that may
+// sit inside a gap run; the two halves then begin/end mid-gap. A half
+// that begins in kI/kD pays no gap_open for continuing the seam run (the
+// opening half already paid it); a half that ends in kI/kD must end with
+// that gap operation. kM at both ends is a plain alignment.
+enum class Component : u8 { kM, kI, kD };
+
 // "Minus infinity" sentinel for unreachable cells. Chosen so that adding
 // small increments can never overflow or wrap into the valid range.
 inline constexpr Offset kOffsetNone = std::numeric_limits<Offset>::min() / 2;
@@ -49,11 +57,16 @@ struct WavefrontSet {
   Wavefront d;
 
   bool any_exists() const noexcept { return m.exists || i.exists || d.exists; }
+
+  const Wavefront& component(Component c) const noexcept {
+    return c == Component::kM ? m : c == Component::kI ? i : d;
+  }
 };
 
-// Work counters reported by the WFA core. These drive both the CPU
-// benchmarks and the UPMEM cost model (instructions per cell / per
-// extension byte / per backtrace step).
+// Work counters of the host aligners (WfaAligner, the SIMD paths), read
+// by the CPU benchmarks and the SIMD work model. The DPU kernel does not
+// use them: it charges its operations to the tasklet's cycle account
+// through pim::KernelCosts.
 struct WfaCounters {
   u64 alignments = 0;
   u64 computed_cells = 0;    // M+I+D cells computed across all scores

@@ -8,21 +8,7 @@
 namespace pimwfa::wfa {
 namespace {
 
-inline Offset max3(Offset a, Offset b, Offset c) noexcept {
-  return std::max(a, std::max(b, c));
-}
-
 using Component = WfaAligner::Component;
-
-// True when wavefront row `set` completes a (sub)alignment that must end
-// in `end`: that component's offset on the final diagonal reaches the end
-// of the text.
-bool hits_end(const WavefrontSet& set, Component end, i32 k_final, i32 tl) {
-  const Wavefront& w = end == Component::kM   ? set.m
-                       : end == Component::kI ? set.i
-                                              : set.d;
-  return w.exists && w.at(k_final) >= tl;
-}
 
 // Gap-affine cost of `cigar` under span-boundary charging: a CIGAR that
 // opens with the gap run it entered through (begin == kI/kD) pays no
@@ -40,10 +26,9 @@ i64 span_cost(const seq::Cigar& cigar, const align::Penalties& p,
   return cost;
 }
 
-// Peak payload bytes a retained (kHigh) pass over this subproblem would
-// bind: 3 components x sizeof(Offset) per diagonal, widths growing 2s+1
-// until capped by the full band. Drives the kUltralow base-case cut.
-u64 retained_bytes_estimate(i64 score, usize plen, usize tlen) {
+}  // namespace
+
+u64 WfaAligner::retained_bytes_estimate(i64 score, usize plen, usize tlen) {
   const i64 band = static_cast<i64>(plen + tlen + 1);
   const i64 knee = std::min(score, (band - 1) / 2);
   const u64 growing = static_cast<u64>(knee + 1) * static_cast<u64>(knee + 1);
@@ -52,8 +37,6 @@ u64 retained_bytes_estimate(i64 score, usize plen, usize tlen) {
                        : 0;
   return (growing + flat) * 3u * sizeof(Offset);
 }
-
-}  // namespace
 
 WfaAligner::WfaAligner(Options options, WavefrontAllocator* allocator)
     : options_(options),
@@ -108,81 +91,144 @@ Wavefront WfaAligner::new_wavefront(i32 lo, i32 hi) {
   return wf;
 }
 
-bool WfaAligner::extend_and_check(Wavefront& m, std::string_view pattern,
-                                  std::string_view text) {
-  if (!m.exists) return false;
-  const i32 plen = static_cast<i32>(pattern.size());
-  const i32 tlen = static_cast<i32>(text.size());
-  const i32 k_final = tlen - plen;
-  bool done = false;
-  for (i32 k = m.lo; k <= m.hi; ++k) {
-    Offset off = m.offsets[k - m.lo];
-    if (!offset_reachable(off)) continue;
-    const i32 v = off - k;
-    const usize remaining = static_cast<usize>(
-        std::min(plen - v, tlen - static_cast<i32>(off)));
-    const usize run =
-        kernels_.match_run(pattern.data() + v, text.data() + off, remaining);
-    off += static_cast<Offset>(run);
-    counters_.extend_matches += run;
-    ++counters_.extend_probes;
-    m.offsets[k - m.lo] = off;
-    if (k == k_final && off >= tlen) done = true;
-  }
-  return done;
+core::Problem WfaAligner::problem(std::string_view pattern,
+                                 std::string_view text) const {
+  const align::Penalties& p = options_.penalties;
+  return {pattern.data(), text.data(), static_cast<i32>(pattern.size()),
+          static_cast<i32>(text.size()), p.mismatch, p.gap_open + p.gap_extend,
+          p.gap_extend};
 }
 
-void WfaAligner::compute_next(i64 score, usize plen, usize tlen) {
-  const i32 x = options_.penalties.mismatch;
-  const i32 oe = options_.penalties.gap_open + options_.penalties.gap_extend;
-  const i32 e = options_.penalties.gap_extend;
-  const usize s = static_cast<usize>(score);
+// What both host storages share: Wavefront rows, the configured kernels,
+// WfaCounters and the CIGAR builder.
+class WfaAligner::HostRows {
+ public:
+  using Set = const WavefrontSet*;
+  using Source = const Wavefront*;
+  using Fault = Error;
+  struct Row {
+    Wavefront* w = nullptr;
+    i32 lo = 0;
+    i32 hi = -1;
+    Offset get(i32 k) const { return w->offsets[k - lo]; }
+    void set(i32 k, Offset value) { w->offsets[k - lo] = value; }
+    void flush() {}
+  };
 
-  sets_.emplace_back();  // sets_[s]; take source pointers only after this
-
-  const Wavefront* m_sub = (score >= x) ? &sets_[s - x].m : nullptr;
-  const Wavefront* m_gap = (score >= oe) ? &sets_[s - oe].m : nullptr;
-  const Wavefront* i_ext = (score >= e) ? &sets_[s - e].i : nullptr;
-  const Wavefront* d_ext = (score >= e) ? &sets_[s - e].d : nullptr;
-  auto live = [](const Wavefront* w) { return w != nullptr && w->exists; };
-  if (!live(m_sub) && !live(m_gap) && !live(i_ext) && !live(d_ext)) {
-    return;  // unreachable score (hole); the set stays null
+  static Source source(Set set, Component c) {
+    if (set == nullptr) return nullptr;
+    const Wavefront& w = set->component(c);
+    return w.exists ? &w : nullptr;
+  }
+  static core::Extent extent(Source w) {
+    return w != nullptr ? core::Extent{w->lo, w->hi} : core::kNoExtent;
   }
 
-  i32 lo = std::numeric_limits<i32>::max();
-  i32 hi = std::numeric_limits<i32>::min();
-  for (const Wavefront* w : {m_sub, m_gap, i_ext, d_ext}) {
-    if (!live(w)) continue;
-    lo = std::min(lo, w->lo - 1);
-    hi = std::max(hi, w->hi + 1);
+  void null_row(i64) {}
+  void fill_row(WavefrontSet& out, const core::Sources<Source>& src, i32 lo,
+                i32 hi) {
+    ComputeRowArgs args;
+    args.m_sub = src.m_sub;
+    args.m_gap = src.m_gap;
+    args.i_ext = src.i_ext;
+    args.d_ext = src.d_ext;
+    args.out_m = &out.m;
+    args.out_i = &out.i;
+    args.out_d = &out.d;
+    args.lo = lo;
+    args.hi = hi;
+    args.pl = pl_;
+    args.tl = tl_;
+    a_.kernels_.compute_row(args);
+    a_.counters_.computed_cells += 3 * static_cast<u64>(hi - lo + 1);
+    ++a_.counters_.wavefront_sets;
   }
-  const i32 pl = static_cast<i32>(plen);
-  const i32 tl = static_cast<i32>(tlen);
-  lo = std::max(lo, -pl);  // diagonals below -plen / above tlen are invalid
-  hi = std::min(hi, tl);
-  if (lo > hi) return;
+  void close_row(i64, WavefrontSet&) {}
 
-  WavefrontSet& out = sets_[s];
-  out.m = new_wavefront(lo, hi);
-  out.i = new_wavefront(lo, hi);
-  out.d = new_wavefront(lo, hi);
+  usize match_run(const char* a, const char* b, usize max) {
+    const usize run = a_.kernels_.match_run(a, b, max);
+    a_.counters_.extend_matches += run;
+    ++a_.counters_.extend_probes;
+    return run;
+  }
 
-  ComputeRowArgs args;
-  args.m_sub = live(m_sub) ? m_sub : nullptr;
-  args.m_gap = live(m_gap) ? m_gap : nullptr;
-  args.i_ext = live(i_ext) ? i_ext : nullptr;
-  args.d_ext = live(d_ext) ? d_ext : nullptr;
-  args.out_m = &out.m;
-  args.out_i = &out.i;
-  args.out_d = &out.d;
-  args.lo = lo;
-  args.hi = hi;
-  args.pl = pl;
-  args.tl = tl;
-  kernels_.compute_row(args);
-  counters_.computed_cells += 3 * static_cast<u64>(hi - lo + 1);
-  ++counters_.wavefront_sets;
-}
+  void backtrace_step() {}
+  void emit(char op, usize n) { a_.cigar_builder_.prepend_run(op, n); }
+
+ protected:
+  HostRows(WfaAligner& aligner, const core::Problem& p)
+      : a_(aligner), pl_(p.pl), tl_(p.tl) {}
+
+  static bool bind(Wavefront& m, Row& row) {
+    if (!m.exists) return false;
+    row = Row{&m, m.lo, m.hi};
+    return true;
+  }
+
+  WfaAligner& a_;
+  i32 pl_;
+  i32 tl_;
+};
+
+// The retained (kHigh) history: every score's rows stay in sets_.
+class WfaAligner::RetainedRows : public HostRows {
+ public:
+  RetainedRows(WfaAligner& aligner, const core::Problem& p)
+      : HostRows(aligner, p) {}
+
+  Set set(i64 score) const { return &row(score); }
+  void begin_row(i64) { a_.sets_.emplace_back(); }
+  WavefrontSet& open_row(i64 score, i32 lo, i32 hi, bool with_i,
+                         bool with_d) {
+    WavefrontSet& out = row(score);
+    out.m = a_.new_wavefront(lo, hi);
+    if (with_i) out.i = a_.new_wavefront(lo, hi);
+    if (with_d) out.d = a_.new_wavefront(lo, hi);
+    return out;
+  }
+  bool extend_row(i64 score, Row& m) { return bind(row(score).m, m); }
+  Offset offset(i64 score, Component c, i32 k) const {
+    return row(score).component(c).at(k);
+  }
+
+ private:
+  WavefrontSet& row(i64 score) const {
+    return a_.sets_[static_cast<usize>(score)];
+  }
+};
+
+// A score-only ring: rows live in the ring's slots, `out` being the slot
+// of the score under construction.
+class WfaAligner::RingRows : public HostRows {
+ public:
+  RingRows(WfaAligner& aligner, const core::Problem& p, ScoreRing& ring,
+           RingSlot& out)
+      : HostRows(aligner, p), ring_(ring), out_(out) {}
+
+  Set set(i64 score) const { return a_.ring_row(ring_, score); }
+  void begin_row(i64) {
+    // Clears the expired score-(ring_size) row. Sources never alias it:
+    // ring_size exceeds the deepest lookback.
+    ring_.live_bytes -= out_.bytes;
+    out_.bytes = 0;
+    out_.set = WavefrontSet{};
+  }
+  WavefrontSet& open_row(i64, i32 lo, i32 hi, bool with_i, bool with_d) {
+    out_.set.m = a_.bind_ring_front(ring_, out_, out_.m, lo, hi);
+    if (with_i) out_.set.i = a_.bind_ring_front(ring_, out_, out_.i, lo, hi);
+    if (with_d) out_.set.d = a_.bind_ring_front(ring_, out_, out_.d, lo, hi);
+    return out_.set;
+  }
+  bool extend_row(i64, Row& m) { return bind(out_.set.m, m); }
+  Offset offset(i64 score, Component c, i32 k) const {
+    const Set rows = set(score);
+    return rows != nullptr ? rows->component(c).at(k) : kOffsetNone;
+  }
+
+ private:
+  ScoreRing& ring_;
+  RingSlot& out_;
+};
 
 namespace {
 
@@ -239,97 +285,6 @@ void WfaAligner::reduce(WavefrontSet& set, i32 plen, i32 tlen) {
   shrink_wavefront(set.d, new_lo, new_hi);
 }
 
-seq::Cigar WfaAligner::backtrace(i64 final_score, std::string_view pattern,
-                                 std::string_view text, Component begin,
-                                 Component end) {
-  const i32 x = options_.penalties.mismatch;
-  const i32 oe = options_.penalties.gap_open + options_.penalties.gap_extend;
-  const i32 e = options_.penalties.gap_extend;
-  const i32 pl = static_cast<i32>(pattern.size());
-  const i32 tl = static_cast<i32>(text.size());
-
-  enum class State { kM, kI, kD };
-  seq::CigarBuilder& cigar = cigar_builder_;
-  cigar.reserve(pattern.size() + text.size());
-  i64 s = final_score;
-  i32 k = tl - pl;
-  Offset off = tl;
-  State state = end == Component::kM   ? State::kM
-                : end == Component::kI ? State::kI
-                                       : State::kD;
-
-  while (true) {
-    const usize si = static_cast<usize>(s);
-    if (state == State::kM) {
-      const Offset sub =
-          (s >= x) ? mismatch_candidate(sets_[si - static_cast<usize>(x)].m.at(k),
-                                        k, pl, tl)
-                   : kOffsetNone;
-      const Offset ins = sets_[si].i.at(k);
-      const Offset del = sets_[si].d.at(k);
-      const Offset best = max3(sub, ins, del);
-      if (!offset_reachable(best)) {
-        // Start of the alignment: the score-0 seed on diagonal 0 plus its
-        // initial run of matches.
-        PIMWFA_CHECK(s == 0 && k == 0,
-                     "WFA backtrace stuck at s=" << s << " k=" << k);
-        cigar.prepend_run('M', static_cast<usize>(off));
-        break;
-      }
-      PIMWFA_CHECK(off >= best, "WFA backtrace offset regression");
-      cigar.prepend_run('M', static_cast<usize>(off - best));
-      off = best;
-      if (sub == best) {
-        cigar.prepend('X');
-        s -= x;
-        --off;
-      } else if (ins == best) {
-        state = State::kI;
-      } else {
-        state = State::kD;
-      }
-    } else if (state == State::kI) {
-      // The span seed I[0][0] is the entry state, not an operation.
-      if (begin == Component::kI && s == 0 && k == 0 && off == 0) break;
-      cigar.prepend('I');
-      const Offset open_src =
-          (s >= oe) ? sets_[si - static_cast<usize>(oe)].m.at(k - 1)
-                    : kOffsetNone;
-      if (open_src == off - 1) {
-        state = State::kM;
-        s -= oe;
-      } else {
-        const Offset ext_src =
-            (s >= e) ? sets_[si - static_cast<usize>(e)].i.at(k - 1)
-                     : kOffsetNone;
-        PIMWFA_CHECK(ext_src == off - 1, "WFA backtrace broken I chain");
-        s -= e;
-      }
-      --off;
-      --k;
-    } else {
-      if (begin == Component::kD && s == 0 && k == 0 && off == 0) break;
-      cigar.prepend('D');
-      const Offset open_src =
-          (s >= oe) ? sets_[si - static_cast<usize>(oe)].m.at(k + 1)
-                    : kOffsetNone;
-      if (open_src == off) {
-        state = State::kM;
-        s -= oe;
-      } else {
-        const Offset ext_src =
-            (s >= e) ? sets_[si - static_cast<usize>(e)].d.at(k + 1)
-                     : kOffsetNone;
-        PIMWFA_CHECK(ext_src == off, "WFA backtrace broken D chain");
-        s -= e;
-      }
-      ++k;
-    }
-  }
-  counters_.backtrace_ops += cigar.size();
-  return cigar.finish();
-}
-
 Wavefront WfaAligner::bind_ring_front(ScoreRing& ring, RingSlot& slot,
                                       std::vector<Offset>& storage, i32 lo,
                                       i32 hi) {
@@ -372,40 +327,26 @@ void WfaAligner::update_progress(ScoreRing& ring, const Wavefront& m) {
   }
 }
 
-void WfaAligner::ring_init(ScoreRing& ring, std::string_view pattern,
-                           std::string_view text, Component begin) {
+bool WfaAligner::ring_init(ScoreRing& ring, std::string_view pattern,
+                           std::string_view text, Component begin,
+                           Component end) {
   const i32 x = options_.penalties.mismatch;
   const i32 oe = options_.penalties.gap_open + options_.penalties.gap_extend;
   // Deepest lookback is max(x, o+e); one extra slot for the one being
   // written.
   ring.ring_size = static_cast<usize>(std::max(x, oe)) + 1;
   if (ring.slots.size() < ring.ring_size) ring.slots.resize(ring.ring_size);
-  for (RingSlot& slot : ring.slots) {
-    slot.set = WavefrontSet{};
-    slot.bytes = 0;
-  }
-  ring.live_bytes = 0;
+  ring_release(ring);
   ring.score = 0;
   ring.max_antidiag = -1;
   ring.pattern = pattern;
   ring.text = text;
-  ring.begin = begin;
 
-  // Score 0 seed; a kI/kD begin component also seeds its gap state (with
-  // the free gap-to-M transition), so the seam run extends at gap_extend
-  // cost without re-paying gap_open.
-  RingSlot& slot = ring.slots[0];
-  slot.set.m = bind_ring_front(ring, slot, slot.m, 0, 0);
-  slot.set.m.set(0, 0);
-  if (begin == Component::kI) {
-    slot.set.i = bind_ring_front(ring, slot, slot.i, 0, 0);
-    slot.set.i.set(0, 0);
-  } else if (begin == Component::kD) {
-    slot.set.d = bind_ring_front(ring, slot, slot.d, 0, 0);
-    slot.set.d.set(0, 0);
-  }
-  extend_and_check(slot.set.m, pattern, text);
-  update_progress(ring, slot.set.m);
+  const core::Problem p = problem(pattern, text);
+  RingRows rows(*this, p, ring, ring.slots[0]);
+  const bool done = core::start(rows, p, begin, end);
+  update_progress(ring, ring.slots[0].set.m);
+  return done;
 }
 
 const WavefrontSet* WfaAligner::ring_row(const ScoreRing& ring,
@@ -419,87 +360,25 @@ const WavefrontSet* WfaAligner::ring_row(const ScoreRing& ring,
   return set.any_exists() ? &set : nullptr;
 }
 
-const WavefrontSet& WfaAligner::ring_step(ScoreRing& ring) {
-  const i32 x = options_.penalties.mismatch;
-  const i32 oe = options_.penalties.gap_open + options_.penalties.gap_extend;
-  const i32 e = options_.penalties.gap_extend;
-  const i32 pl = static_cast<i32>(ring.pattern.size());
-  const i32 tl = static_cast<i32>(ring.text.size());
-
+bool WfaAligner::ring_step(ScoreRing& ring, Component end) {
   ++ring.score;
   ++counters_.score_steps;
-  const i64 score = ring.score;
-  RingSlot& out_slot = ring.slots[static_cast<usize>(score) % ring.ring_size];
-  ring.live_bytes -= out_slot.bytes;
-  out_slot.bytes = 0;
-  out_slot.set = WavefrontSet{};  // clears the expired score-(ring) set
-
-  // NOTE: sources can alias the output slot only if ring_size were too
-  // small; ring_size > max lookback guarantees distinct slots.
-  const WavefrontSet* sub_row = (score >= x) ? ring_row(ring, score - x)
-                                             : nullptr;
-  const WavefrontSet* gap_row = (score >= oe) ? ring_row(ring, score - oe)
-                                              : nullptr;
-  const WavefrontSet* ext_row = (score >= e) ? ring_row(ring, score - e)
-                                             : nullptr;
-  const Wavefront* m_sub =
-      (sub_row != nullptr && sub_row->m.exists) ? &sub_row->m : nullptr;
-  const Wavefront* m_gap =
-      (gap_row != nullptr && gap_row->m.exists) ? &gap_row->m : nullptr;
-  const Wavefront* i_ext =
-      (ext_row != nullptr && ext_row->i.exists) ? &ext_row->i : nullptr;
-  const Wavefront* d_ext =
-      (ext_row != nullptr && ext_row->d.exists) ? &ext_row->d : nullptr;
-  if (m_sub == nullptr && m_gap == nullptr && i_ext == nullptr &&
-      d_ext == nullptr) {
-    return out_slot.set;  // hole
-  }
-
-  i32 lo = std::numeric_limits<i32>::max();
-  i32 hi = std::numeric_limits<i32>::min();
-  for (const Wavefront* w : {m_sub, m_gap, i_ext, d_ext}) {
-    if (w == nullptr) continue;
-    lo = std::min(lo, w->lo - 1);
-    hi = std::max(hi, w->hi + 1);
-  }
-  lo = std::max(lo, -pl);
-  hi = std::min(hi, tl);
-  if (lo > hi) return out_slot.set;
-
-  out_slot.set.m = bind_ring_front(ring, out_slot, out_slot.m, lo, hi);
-  out_slot.set.i = bind_ring_front(ring, out_slot, out_slot.i, lo, hi);
-  out_slot.set.d = bind_ring_front(ring, out_slot, out_slot.d, lo, hi);
-  ComputeRowArgs args;
-  args.m_sub = m_sub;
-  args.m_gap = m_gap;
-  args.i_ext = i_ext;
-  args.d_ext = d_ext;
-  args.out_m = &out_slot.set.m;
-  args.out_i = &out_slot.set.i;
-  args.out_d = &out_slot.set.d;
-  args.lo = lo;
-  args.hi = hi;
-  args.pl = pl;
-  args.tl = tl;
-  kernels_.compute_row(args);
-  counters_.computed_cells += 3 * static_cast<u64>(hi - lo + 1);
-  ++counters_.wavefront_sets;
-  extend_and_check(out_slot.set.m, ring.pattern, ring.text);
-  update_progress(ring, out_slot.set.m);
-  return out_slot.set;
+  RingSlot& slot = ring.slots[static_cast<usize>(ring.score) % ring.ring_size];
+  const core::Problem p = problem(ring.pattern, ring.text);
+  RingRows rows(*this, p, ring, slot);
+  const bool done = core::step(rows, p, ring.score, end);
+  update_progress(ring, slot.set.m);
+  return done;
 }
 
 i64 WfaAligner::score_low_memory(std::string_view pattern,
                                  std::string_view text, i64 score_cap,
                                  Component begin, Component end) {
-  const i32 tl = static_cast<i32>(text.size());
-  const i32 k_final = tl - static_cast<i32>(pattern.size());
-  ring_init(ring_, pattern, text, begin);
-  bool done = hits_end(ring_.slots[0].set, end, k_final, tl);
+  bool done = ring_init(ring_, pattern, text, begin, end);
   while (!done) {
     PIMWFA_CHECK(ring_.score < score_cap,
                  "WFA exceeded score cap " << score_cap << " (max_score option)");
-    done = hits_end(ring_step(ring_), end, k_final, tl);
+    done = ring_step(ring_, end);
   }
   const i64 score = ring_.score;
   ring_release(ring_);
@@ -525,8 +404,9 @@ WfaAligner::Breakpoint WfaAligner::find_breakpoint(std::string_view pattern,
   // direction - every candidate total below re-adds it (end_shift).
   rev_pattern_.assign(pattern.rbegin(), pattern.rend());
   rev_text_.assign(text.rbegin(), text.rend());
-  ring_init(ring_, pattern, text, begin);
-  ring_init(rev_ring_, rev_pattern_, rev_text_, end);
+  // Termination is the meet, not a corner: the rings run as kM spans.
+  ring_init(ring_, pattern, text, begin, Component::kM);
+  ring_init(rev_ring_, rev_pattern_, rev_text_, end, Component::kM);
 
   const i64 end_shift = (end == Component::kM) ? 0 : o;
   Breakpoint best;
@@ -608,7 +488,7 @@ WfaAligner::Breakpoint WfaAligner::find_breakpoint(std::string_view pattern,
     // an unbalanced optimal split (errors clustered in one half) still
     // meets inside the retained window.
     const bool forward = ring_.max_antidiag <= rev_ring_.max_antidiag;
-    ring_step(forward ? ring_ : rev_ring_);
+    ring_step(forward ? ring_ : rev_ring_, Component::kM);
     if (ring_.max_antidiag + rev_ring_.max_antidiag >= total_antidiag) {
       scan_new_row(forward);
     }
@@ -629,18 +509,11 @@ i64 WfaAligner::ultralow_recurse(std::string_view pattern,
   const i32 o = options_.penalties.gap_open;
   const i32 e = options_.penalties.gap_extend;
 
-  // Degenerate halves: a single gap run, free of gap_open when it
-  // continues the begin component's seam run.
+  // Degenerate halves: a single gap run (see core::gap_run_score).
   if (plen == 0 || tlen == 0) {
     out.append(tlen, 'I');
     out.append(plen, 'D');
-    if (tlen > 0) {
-      return (begin == Component::kI ? 0 : o) + static_cast<i64>(tlen) * e;
-    }
-    if (plen > 0) {
-      return (begin == Component::kD ? 0 : o) + static_cast<i64>(plen) * e;
-    }
-    return 0;
+    return core::gap_run_score(o, e, begin, plen, tlen);
   }
 
   const Breakpoint bp = find_breakpoint(pattern, text, begin, end, score_cap);
@@ -684,46 +557,33 @@ align::AlignmentResult WfaAligner::align_retained(std::string_view pattern,
                                                   Component begin,
                                                   Component end,
                                                   i64 score_cap) {
-  const usize plen = pattern.size();
-  const usize tlen = text.size();
-  const i32 tl = static_cast<i32>(tlen);
-  const i32 k_final = tl - static_cast<i32>(plen);
   allocator_->reset();
   sets_.clear();
   retained_bytes_ = 0;
 
-  sets_.emplace_back();
-  sets_[0].m = new_wavefront(0, 0);
-  sets_[0].m.set(0, 0);
-  if (begin == Component::kI) {
-    sets_[0].i = new_wavefront(0, 0);
-    sets_[0].i.set(0, 0);
-  } else if (begin == Component::kD) {
-    sets_[0].d = new_wavefront(0, 0);
-    sets_[0].d.set(0, 0);
-  }
+  sets_.emplace_back();  // the score-0 row
+  const core::Problem p = problem(pattern, text);
+  RetainedRows rows(*this, p);
   i64 score = 0;
-  extend_and_check(sets_[0].m, pattern, text);
-  bool done = hits_end(sets_[0], end, k_final, tl);
+  bool done = core::start(rows, p, begin, end);
   while (!done) {
     if (options_.heuristic.enabled) {
-      reduce(sets_[static_cast<usize>(score)], static_cast<i32>(plen),
-             static_cast<i32>(tlen));
+      reduce(sets_[static_cast<usize>(score)], p.pl, p.tl);
     }
     ++score;
     ++counters_.score_steps;
     PIMWFA_CHECK(score <= score_cap,
                  "WFA exceeded score cap " << score_cap << " (max_score option)");
-    compute_next(score, plen, tlen);
-    WavefrontSet& set = sets_[static_cast<usize>(score)];
-    if (set.m.exists) extend_and_check(set.m, pattern, text);
-    done = hits_end(set, end, k_final, tl);
+    done = core::step(rows, p, score, end);
   }
 
   align::AlignmentResult result;
   result.score = score;
   if (scope == align::AlignmentScope::kFull) {
-    result.cigar = backtrace(score, pattern, text, begin, end);
+    cigar_builder_.reserve(pattern.size() + text.size());
+    core::backtrace(rows, p, score, begin, end);
+    counters_.backtrace_ops += cigar_builder_.size();
+    result.cigar = cigar_builder_.finish();
     result.has_cigar = true;
   }
   counters_.max_score = std::max(counters_.max_score, static_cast<u64>(score));
@@ -746,18 +606,11 @@ align::AlignmentResult WfaAligner::align_span(std::string_view pattern,
 
   align::AlignmentResult result;
 
-  // Degenerate inputs: the alignment is a single gap (or nothing), free of
-  // gap_open when it continues the begin component's seam run.
+  // Degenerate inputs: a single gap run, or nothing.
   if (plen == 0 || tlen == 0) {
-    const i32 o = options_.penalties.gap_open;
-    const i32 e = options_.penalties.gap_extend;
-    if (tlen > 0) {
-      result.score =
-          (begin == Component::kI ? 0 : o) + static_cast<i64>(tlen) * e;
-    } else if (plen > 0) {
-      result.score =
-          (begin == Component::kD ? 0 : o) + static_cast<i64>(plen) * e;
-    }
+    result.score = core::gap_run_score(options_.penalties.gap_open,
+                                       options_.penalties.gap_extend, begin,
+                                       plen, tlen);
     if (scope == align::AlignmentScope::kFull) {
       cigar_builder_.reserve(plen + tlen);
       cigar_builder_.prepend_run('D', plen);

@@ -11,7 +11,10 @@
 //   M[s][k] = max(M[s-x][k] + 1, I[s][k], D[s][k])
 //
 // until M[s][tlen - plen] reaches offset tlen. A backtrace over the stored
-// wavefronts reconstructs the CIGAR.
+// wavefronts reconstructs the CIGAR. The algorithm itself lives in
+// wfa_core.hpp, shared with the DPU kernel; this class supplies host
+// storage (retained rows or score-only rings), the pluggable kernels and
+// the memory modes.
 //
 // All wavefront memory comes from a WavefrontAllocator (see allocator.hpp)
 // - the seam the PIM port replaces with the WRAM/MRAM allocator.
@@ -27,6 +30,7 @@
 #include "wfa/allocator.hpp"
 #include "wfa/kernels.hpp"
 #include "wfa/wavefront.hpp"
+#include "wfa/wfa_core.hpp"
 
 namespace pimwfa::wfa {
 
@@ -60,13 +64,8 @@ class WfaAligner final : public align::PairAligner {
     kUltralow,
   };
 
-  // Boundary component of a partial alignment. Long-read machinery
-  // (kUltralow recursion, PIM tiling) cuts a pair at a breakpoint that may
-  // sit inside a gap run; the two halves then begin/end mid-gap. A half
-  // that begins in kI/kD pays no gap_open for continuing the seam run
-  // (the opening half already paid it); a half that ends in kI/kD must
-  // end with that gap operation. kM at both ends is a plain alignment.
-  enum class Component : u8 { kM, kI, kD };
+  // Boundary component of a partial alignment (see wavefront.hpp).
+  using Component = wfa::Component;
 
   // Optimal meeting point reported by the bidirectional score pass.
   struct Breakpoint {
@@ -136,7 +135,18 @@ class WfaAligner final : public align::PairAligner {
 
   WavefrontAllocator& allocator() noexcept { return *allocator_; }
 
+  // Peak payload bytes a retained (kHigh) pass over a (sub)problem of this
+  // score and size binds: 3 components x sizeof(Offset) per diagonal,
+  // widths growing 2s+1 until capped by the full band. Drives the
+  // kUltralow base-case cut and the PIM tiling planner's arena estimate.
+  static u64 retained_bytes_estimate(i64 score, usize plen, usize tlen);
+
  private:
+  // Storage policies of the WFA core over this aligner's rows.
+  class HostRows;
+  class RetainedRows;
+  class RingRows;
+
   // Ring storage for the score-only passes (kLow and each direction of
   // kUltralow); slot vectors are retained across alignments.
   struct RingSlot {
@@ -151,20 +161,16 @@ class WfaAligner final : public align::PairAligner {
     u64 live_bytes = 0;     // payload bound across all live rows
     i64 max_antidiag = -1;  // furthest v+h sampled so far (progress)
     std::string_view pattern, text;  // possibly reversed views
-    Component begin = Component::kM;
   };
 
+  core::Problem problem(std::string_view pattern,
+                        std::string_view text) const;
   Wavefront new_wavefront(i32 lo, i32 hi);
-  // Extend matches along every diagonal of `m`; returns true if the
-  // termination cell (k = tlen - plen reaching offset tlen) was hit.
-  bool extend_and_check(Wavefront& m, std::string_view pattern,
-                        std::string_view text);
-  // Compute wavefront set for `score` from stored predecessors.
-  void compute_next(i64 score, usize plen, usize tlen);
-  // Seed/advance/query one score-only ring (the kLow machinery).
-  void ring_init(ScoreRing& ring, std::string_view pattern,
-                 std::string_view text, Component begin);
-  const WavefrontSet& ring_step(ScoreRing& ring);
+  // Seed/advance/query one score-only ring (the kLow machinery). Both
+  // return true once the ring's row completes a span ending in `end`.
+  bool ring_init(ScoreRing& ring, std::string_view pattern,
+                 std::string_view text, Component begin, Component end);
+  bool ring_step(ScoreRing& ring, Component end);
   const WavefrontSet* ring_row(const ScoreRing& ring, i64 score) const;
   Wavefront bind_ring_front(ScoreRing& ring, RingSlot& slot,
                             std::vector<Offset>& storage, i32 lo, i32 hi);
@@ -187,9 +193,6 @@ class WfaAligner final : public align::PairAligner {
                                         i64 score_cap);
   // Apply adaptive reduction to the freshly extended set (heuristic mode).
   void reduce(WavefrontSet& set, i32 plen, i32 tlen);
-  seq::Cigar backtrace(i64 final_score, std::string_view pattern,
-                       std::string_view text, Component begin,
-                       Component end);
   void note_live_bytes();
 
   Options options_;

@@ -6,11 +6,13 @@
 
 #include "align/hybrid.hpp"
 #include "align/verify.hpp"
+#include "pim/dpu_wfa_kernel.hpp"
 #include "pim/host.hpp"
 #include "pim/layout.hpp"
 #include "pim/tiling.hpp"
 #include "seq/generator.hpp"
 #include "test_util.hpp"
+#include "upmem/dpu.hpp"
 #include "wfa/wfa_aligner.hpp"
 
 namespace pimwfa::pim {
@@ -250,6 +252,161 @@ TEST(BatchLayoutTiling, OverfullBatchErrorSuggestsShrinkingOrTiling) {
   } catch (const Error& e) {
     const std::string message = e.what();
     EXPECT_NE(message.find("tile long pairs"), std::string::npos) << message;
+  }
+}
+
+// --- seam conformance ---------------------------------------------------
+
+// A (sub)pair plus the components its path enters and leaves in.
+struct Span {
+  std::string pattern;
+  std::string text;
+  Component begin = Component::kM;
+  Component end = Component::kM;
+};
+
+constexpr i64 kSpanScoreCap = 256;
+
+// Runs the DPU kernel on one tasklet over records that carry each span's
+// seam components in their length fields, as the tiling path writes them.
+std::vector<align::AlignmentResult> run_dpu_spans(
+    const std::vector<Span>& spans) {
+  BatchLayout::Params params;
+  params.nr_pairs = spans.size();
+  for (const Span& span : spans) {
+    params.max_pattern = std::max(params.max_pattern, span.pattern.size());
+    params.max_text = std::max(params.max_text, span.text.size());
+  }
+  params.max_score = kSpanScoreCap;
+  const upmem::SystemConfig config = upmem::SystemConfig::tiny(1);
+  const BatchLayout layout = BatchLayout::plan(params, config.mram_bytes);
+  upmem::Dpu dpu(config, 0);
+  dpu.mram().write_pod(0, layout.header());
+  for (usize i = 0; i < spans.size(); ++i) {
+    const Span& span = spans[i];
+    const u32 lens[2] = {encode_pair_len(span.pattern.size(), span.begin),
+                         encode_pair_len(span.text.size(), span.end)};
+    const u64 addr = layout.pair_addr(i);
+    dpu.mram().write(addr, lens, sizeof(lens));
+    dpu.mram().write(addr + 8, span.pattern.data(), span.pattern.size());
+    dpu.mram().write(addr + 8 + layout.pattern_field_bytes(),
+                     span.text.data(), span.text.size());
+  }
+  WfaDpuKernel kernel;
+  dpu.launch(kernel, 1);
+  std::vector<align::AlignmentResult> results;
+  for (usize i = 0; i < spans.size(); ++i) {
+    u32 head[2];
+    dpu.mram().read(layout.result_addr(i), head, sizeof(head));
+    std::string ops(head[1], '\0');
+    dpu.mram().read(layout.result_addr(i) + 8, ops.data(), ops.size());
+    align::AlignmentResult result;
+    result.score = static_cast<i64>(head[0]);
+    result.cigar = seq::Cigar::from_ops(ops);
+    result.has_cigar = true;
+    results.push_back(std::move(result));
+  }
+  return results;
+}
+
+// The host span alignment every other implementation must agree with.
+align::AlignmentResult host_span(const Span& span) {
+  wfa::WfaAligner::Options options;
+  options.max_score = kSpanScoreCap;
+  wfa::WfaAligner host(options);
+  return host.align_span(span.pattern, span.text, AlignmentScope::kFull,
+                         span.begin, span.end);
+}
+
+std::string describe(const Span& span) {
+  const char* names = "MID";
+  return "'" + span.pattern + "' vs '" + span.text + "' " +
+         names[static_cast<int>(span.begin)] + "->" +
+         names[static_cast<int>(span.end)];
+}
+
+// Every (begin, end) seam pair on short spans, the empty ones included:
+// the DPU kernel reads seams from the record bits and must score and
+// backtrace exactly like WfaAligner::align_span. Each non-empty pair
+// admits every seam pair; a forced end component can leave the
+// furthest-reaching wavefronts short of the corner (an exact match forced
+// to end in I never gets there), which both sides report as an exceeded
+// score cap.
+TEST(SeamConformance, DpuKernelMatchesHostSpanForEverySeamPair) {
+  const std::pair<const char*, const char*> pairs[] = {
+      {"", ""},           {"ACGT", ""},        {"", "ACG"},
+      {"A", "C"},         {"ACGTAC", "ACGTAG"}, {"ACGTTGCA", "ACTTGGCA"},
+      {"CA", "ACGGT"},    {"ACGGT", "CA"},     {"GATTACA", "GTACA"},
+      {"TAC", "GACT"},
+  };
+  const Component comps[] = {Component::kM, Component::kI, Component::kD};
+  std::vector<Span> spans;
+  for (const auto& [pattern, text] : pairs) {
+    for (const Component begin : comps) {
+      for (const Component end : comps) {
+        spans.push_back({pattern, text, begin, end});
+      }
+    }
+  }
+  const std::vector<align::AlignmentResult> dpu = run_dpu_spans(spans);
+  ASSERT_EQ(dpu.size(), spans.size());
+  for (usize i = 0; i < spans.size(); ++i) {
+    const align::AlignmentResult expected = host_span(spans[i]);
+    EXPECT_EQ(dpu[i].score, expected.score) << describe(spans[i]);
+    EXPECT_EQ(dpu[i].cigar, expected.cigar) << describe(spans[i]);
+  }
+}
+
+// Indels at a pair's end make the planner cut inside the gap run and hand
+// out degenerate segments (an empty pattern or text) that begin and end
+// in I or D. Their planned span scores must be what the host and the DPU
+// kernel score for the same segments.
+TEST(SeamConformance, PlannerDegenerateSegmentsMatchHostAndDpu) {
+  Rng rng(5);
+  std::vector<Span> spans;
+  std::vector<i64> planned;
+  for (usize variant = 0; variant < 4; ++variant) {
+    const std::string head = seq::random_sequence(rng, 10 + variant * 4);
+    const std::string tail = seq::random_sequence(rng, 40 + variant * 6);
+    const bool deletion = variant % 2 == 1;
+    const std::string pattern = deletion ? head + tail : head;
+    const std::string text = deletion ? head : head + tail;
+    TilingConfig config;
+    config.arena_budget_bytes = u64{1} << 30;
+    config.max_segment_bases = 16;
+    TilingPlanner planner(config);
+    std::vector<TileSegment> segments;
+    planner.plan_pair(0, pattern, text, segments);
+    for (const TileSegment& seg : segments) {
+      if (seg.pattern_length() != 0 && seg.text_length() != 0) continue;
+      spans.push_back({pattern.substr(seg.v0, seg.pattern_length()),
+                       text.substr(seg.h0, seg.text_length()), seg.begin,
+                       seg.end});
+      planned.push_back(seg.span_score);
+    }
+  }
+  // Unsplit empty-sided pairs come back as one degenerate M/M segment.
+  for (const auto& [pattern, text] :
+       {std::pair<std::string, std::string>{"", "ACGTA"}, {"ACG", ""}}) {
+    TilingPlanner planner(TilingConfig{Penalties::defaults(), 1u << 20, 16, 0});
+    std::vector<TileSegment> segments;
+    planner.plan_pair(0, pattern, text, segments);
+    ASSERT_EQ(segments.size(), 1u);
+    spans.push_back({pattern, text, Component::kM, Component::kM});
+    planned.push_back(segments[0].span_score);
+  }
+  auto seams_from = [&](Component c) {
+    return std::count_if(spans.begin(), spans.end(),
+                         [c](const Span& s) { return s.begin == c; });
+  };
+  ASSERT_GT(seams_from(Component::kI), 0) << "no degenerate I seam planned";
+  ASSERT_GT(seams_from(Component::kD), 0) << "no degenerate D seam planned";
+  const std::vector<align::AlignmentResult> dpu = run_dpu_spans(spans);
+  for (usize i = 0; i < spans.size(); ++i) {
+    const align::AlignmentResult expected = host_span(spans[i]);
+    EXPECT_EQ(planned[i], expected.score) << describe(spans[i]);
+    EXPECT_EQ(dpu[i].score, expected.score) << describe(spans[i]);
+    EXPECT_EQ(dpu[i].cigar, expected.cigar) << describe(spans[i]);
   }
 }
 
