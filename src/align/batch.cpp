@@ -28,6 +28,10 @@ void BatchOptions::validate() const {
                    "hybrid_cpu_fraction must be <= 1 (negative = calibrate)");
   PIMWFA_ARG_CHECK(hybrid_calibration_pairs >= 1,
                    "hybrid calibration needs at least one pair");
+  PIMWFA_ARG_CHECK(text_ends_free == 0 || memory_mode == MemoryMode::kHigh,
+                   "ends-free alignment (text_ends_free) needs memory mode "
+                   "high, not "
+                       << memory_mode_name(memory_mode));
 }
 
 }  // namespace pimwfa::align

@@ -42,6 +42,11 @@ struct BatchOptions {
   // Wavefront retention of every WFA instance the backend spawns (CPU
   // workers, calibration samples, PIM host-side fallbacks).
   MemoryMode memory_mode = MemoryMode::kHigh;
+  // Ends-free alignment: up to this many leading and, separately,
+  // trailing text bases of each pair may stay unaligned at no cost
+  // (wfa/wfa_core.hpp); results carry the CIGAR's text_begin. 0 = global.
+  // Needs kHigh memory; the PIM backends reject pairs they would tile.
+  u32 text_ends_free = 0;
 
   // --- CPU backend -------------------------------------------------------
   // Host worker threads for the measured run (0 = hardware concurrency).

@@ -15,6 +15,10 @@ struct AlignmentResult {
   i64 score = 0;         // gap-affine penalty (lower is better)
   seq::Cigar cigar;      // empty when scope == kScoreOnly
   bool has_cigar = false;
+  // Ends-free alignment: the CIGAR covers
+  // text[text_begin, text_begin + cigar.text_length()). 0 when global,
+  // and in score-only results (no backtrace places the start).
+  u32 text_begin = 0;
 
   bool operator==(const AlignmentResult&) const = default;
 };

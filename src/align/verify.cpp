@@ -5,9 +5,18 @@
 namespace pimwfa::align {
 
 void verify_result(const AlignmentResult& result, std::string_view pattern,
-                   std::string_view text, const Penalties& penalties) {
+                   std::string_view text, const Penalties& penalties,
+                   usize text_ends_free) {
   if (result.has_cigar) {
-    result.cigar.validate(pattern, text);
+    const usize begin = result.text_begin;
+    const usize span = result.cigar.text_length();
+    PIMWFA_CHECK(begin <= text_ends_free && begin + span <= text.size() &&
+                     text.size() - (begin + span) <= text_ends_free,
+                 "CIGAR covers text [" << begin << ", " << begin + span
+                                       << ") of " << text.size()
+                                       << ", free ends allow "
+                                       << text_ends_free);
+    result.cigar.validate(pattern, text.substr(begin, span));
     const i64 cigar_score = result.cigar.affine_score(
         penalties.mismatch, penalties.gap_open, penalties.gap_extend);
     PIMWFA_CHECK(cigar_score == result.score,
@@ -21,9 +30,10 @@ void verify_result(const AlignmentResult& result, std::string_view pattern,
 
 bool result_is_consistent(const AlignmentResult& result,
                           std::string_view pattern, std::string_view text,
-                          const Penalties& penalties) noexcept {
+                          const Penalties& penalties,
+                          usize text_ends_free) noexcept {
   try {
-    verify_result(result, pattern, text, penalties);
+    verify_result(result, pattern, text, penalties, text_ends_free);
     return true;
   } catch (...) {
     return false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -42,7 +43,9 @@ void MyersMatcher::set_pattern(std::string_view pattern) {
   }
 }
 
-i64 MyersMatcher::run(std::string_view text, i64 prune) {
+template <bool kEndsFree>
+i64 MyersMatcher::run(std::string_view text, i64 prune,
+                      usize text_ends_free) {
   PIMWFA_DCHECK(m_ >= 1);
   const usize blocks = blocks_;
   const u64 top = u64{1} << ((m_ - 1) % kWordBits);
@@ -50,11 +53,18 @@ i64 MyersMatcher::run(std::string_view text, i64 prune) {
   u64* const mv = mv_.data();
   std::fill_n(pv, blocks, ~u64{0});
   std::fill_n(mv, blocks, u64{0});
+  const usize n = text.size();
   i64 score = static_cast<i64>(m_);
-  i64 remaining = static_cast<i64>(text.size());
-  for (const char c : text) {
-    const u64* const eq_row = peq_.data() + static_cast<u8>(c) * blocks;
-    u64 ph_in = 1;  // +1 entering row 0 (global alignment)
+  i64 remaining = static_cast<i64>(n);
+  // Ends-free: the lowest last-row cell over the columns an alignment may
+  // end on, [n - text_ends_free, n]; column 0 is the pattern's length.
+  const usize first_end = n > text_ends_free ? n - text_ends_free : 0;
+  i64 best = first_end == 0 ? score : std::numeric_limits<i64>::max();
+  for (usize j = 0; j < n; ++j) {
+    const u64* const eq_row = peq_.data() + static_cast<u8>(text[j]) * blocks;
+    // Row 0's horizontal delta: +1 per text base (global), 0 over the
+    // free leading text.
+    u64 ph_in = kEndsFree ? static_cast<u64>(j >= text_ends_free) : 1;
     u64 mh_in = 0;
     u64 ph = 0;
     u64 mh = 0;
@@ -79,26 +89,42 @@ i64 MyersMatcher::run(std::string_view text, i64 prune) {
       --score;
     }
     --remaining;
-    if (prune >= 0 && score - remaining > prune) return prune + 1;
+    if constexpr (kEndsFree) {
+      if (j + 1 >= first_end) best = std::min(best, score);
+      // No later cell can come back below score - remaining.
+      if (prune >= 0 && score - remaining > prune) {
+        return std::min(best, prune + 1);
+      }
+    } else {
+      if (prune >= 0 && score - remaining > prune) return prune + 1;
+    }
   }
-  return score;
+  return kEndsFree ? best : score;
 }
 
 i64 MyersMatcher::distance(std::string_view text) {
   if (m_ == 0) return static_cast<i64>(text.size());
   if (text.empty()) return static_cast<i64>(m_);
-  return run(text, -1);
+  return run<false>(text, -1, 0);
 }
 
-i64 MyersMatcher::bounded_distance(std::string_view text, i64 threshold) {
+i64 MyersMatcher::bounded_distance(std::string_view text, i64 threshold,
+                                   usize text_ends_free) {
   PIMWFA_ARG_CHECK(threshold >= 0, "threshold must be non-negative");
   const i64 plen = static_cast<i64>(m_);
   const i64 tlen = static_cast<i64>(text.size());
-  // The length difference is an unconditional lower bound on the global
-  // distance; most junk candidates never touch the DP at all.
-  if (std::abs(plen - tlen) > threshold) return threshold + 1;
-  if (m_ == 0 || text.empty()) return std::abs(plen - tlen);
-  return std::min(run(text, threshold), threshold + 1);
+  // The length difference to the shortest text span an alignment may
+  // cover is an unconditional lower bound on the distance; most junk
+  // candidates never touch the DP at all.
+  const usize each = std::min(text.size(), text_ends_free);
+  const i64 free = static_cast<i64>(std::min(text.size(), 2 * each));
+  const i64 floor = std::max(plen - tlen, tlen - free - plen);
+  if (floor > threshold) return threshold + 1;
+  if (m_ == 0 || text.empty()) return std::max<i64>(floor, 0);
+  const i64 d = text_ends_free == 0
+                    ? run<false>(text, threshold, 0)
+                    : run<true>(text, threshold, text_ends_free);
+  return std::min(d, threshold + 1);
 }
 
 i64 myers_edit_distance(std::string_view pattern, std::string_view text) {

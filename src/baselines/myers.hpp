@@ -38,12 +38,23 @@ class MyersMatcher {
   // descend back to the threshold (the final distance is at least
   // score[j] - remaining columns, since adjacent last-row cells differ
   // by at most 1), so junk candidates exit in O(threshold) columns.
-  i64 bounded_distance(std::string_view text, i64 threshold);
+  //
+  // A non-zero `text_ends_free` gives the search form (Myers 1999): the
+  // minimum distance between the pattern and text[b, e) over
+  // b <= text_ends_free and e >= |text| - text_ends_free. A bound of at
+  // least |text| is the semi-global distance. The free leading text is
+  // the row-0 input of the same recurrence (its horizontal delta is 0
+  // over the free columns, 1 after them), the free tail a minimum over
+  // the last-row cells it may end on.
+  i64 bounded_distance(std::string_view text, i64 threshold,
+                       usize text_ends_free = 0);
 
  private:
   // The column recurrence; a non-negative `prune` returns prune+1 as
-  // soon as the distance provably exceeds it.
-  i64 run(std::string_view text, i64 prune);
+  // soon as the distance provably exceeds it. kEndsFree keeps the free
+  // ends out of the global loop.
+  template <bool kEndsFree>
+  i64 run(std::string_view text, i64 prune, usize text_ends_free);
 
   usize m_ = 0;
   usize blocks_ = 0;

@@ -21,6 +21,7 @@ CpuBatchOptions CpuBatchOptions::from(const align::BatchOptions& batch) {
   options.simd = batch.cpu_simd;
   options.simd_edit_threshold = batch.cpu_simd_edit_threshold;
   options.memory_mode = batch.memory_mode;
+  options.text_ends_free = batch.text_ends_free;
   return options;
 }
 
@@ -43,6 +44,9 @@ CpuBatchAligner::CpuBatchAligner(CpuBatchOptions options)
     : options_(options) {
   options_.penalties.validate();
   PIMWFA_ARG_CHECK(options_.threads >= 1, "need at least one thread");
+  PIMWFA_ARG_CHECK(options_.text_ends_free == 0 ||
+                       options_.memory_mode == align::MemoryMode::kHigh,
+                   "ends-free alignment needs memory mode high");
   // Resolve dispatch once, up front: a bad PIMWFA_FORCE_SIMD value fails
   // at construction, not mid-batch on a worker thread.
   if (options_.simd) simd_level_ = simd::active_level();
@@ -80,7 +84,8 @@ CpuBatchResult CpuBatchAligner::align_batch(seq::ReadPairSpan batch,
                         simd_level_,
                         simd::FastPathConfig{options_.simd_edit_threshold},
                         out.results, stats, work, high_water,
-                        to_wfa_mode(options_.memory_mode));
+                        to_wfa_mode(options_.memory_mode),
+                        options_.text_ends_free);
       MutexLock lock(merge_mutex);
       out.work.merge(work);
       out.simd.merge(stats);
@@ -91,6 +96,7 @@ CpuBatchResult CpuBatchAligner::align_batch(seq::ReadPairSpan batch,
     wfa::WfaAligner::Options wfa_options;
     wfa_options.penalties = options_.penalties;
     wfa_options.memory_mode = to_wfa_mode(options_.memory_mode);
+    wfa_options.text_ends_free = options_.text_ends_free;
     wfa::WfaAligner aligner{wfa_options};
     for (usize i = begin; i < end; ++i) {
       out.results[i] = aligner.align(batch.pattern(i), batch.text(i), scope);
@@ -168,7 +174,7 @@ align::BatchResult CpuBatchAligner::run(seq::ReadPairSpan batch,
     const simd::SpeedupModel model = simd::model_sample(
         batch.first(std::min<usize>(materialized, 128)), options_.penalties,
         scope, simd::FastPathConfig{options_.simd_edit_threshold},
-        simd_level_);
+        simd_level_, options_.text_ends_free);
     const double t1_simd = per_pair_seconds_override_ > 0
                                ? t1_model / model.speedup
                                : t1_model;

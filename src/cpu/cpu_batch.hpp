@@ -29,6 +29,9 @@ struct CpuBatchOptions {
   // once at construction via simd::active_level().
   bool simd = false;
   usize simd_edit_threshold = 0;  // 0 = auto (simd::FastPathConfig)
+  // Ends-free bound of every worker's alignments (align::BatchOptions::
+  // text_ends_free); 0 = global.
+  u32 text_ends_free = 0;
 
   // Translate the unified batch options (see align/batch.hpp).
   static CpuBatchOptions from(const align::BatchOptions& batch);

@@ -65,12 +65,15 @@ constexpr double kFastPathFixedTrafficBytes = 300.0;
 SpeedupModel model_sample(seq::ReadPairSpan sample,
                           const align::Penalties& penalties,
                           align::AlignmentScope scope,
-                          const FastPathConfig& config, SimdLevel level) {
+                          const FastPathConfig& config, SimdLevel level,
+                          u32 text_ends_free) {
   PIMWFA_ARG_CHECK(!sample.empty(), "SIMD cost model needs a sample pair");
   const double n = static_cast<double>(sample.size());
 
   // Scalar reference: full WFA on every pair with the portable kernels.
-  wfa::WfaAligner scalar_reference{wfa::WfaAligner::Options{penalties}};
+  wfa::WfaAligner::Options scalar_options{penalties};
+  scalar_options.text_ends_free = text_ends_free;
+  wfa::WfaAligner scalar_reference{scalar_options};
   for (usize i = 0; i < sample.size(); ++i) {
     (void)scalar_reference.align(sample.pattern(i), sample.text(i), scope);
   }
@@ -83,7 +86,8 @@ SpeedupModel model_sample(seq::ReadPairSpan sample,
   wfa::WfaCounters simd_work;
   u64 high_water = 0;
   align_range(sample, 0, sample.size(), penalties, scope, level, config,
-              results, stats, simd_work, high_water);
+              results, stats, simd_work, high_water,
+              wfa::WfaAligner::MemoryMode::kHigh, text_ends_free);
 
   const LevelCosts scalar_costs = level_costs(SimdLevel::kScalar);
   const LevelCosts simd_costs = level_costs(level);

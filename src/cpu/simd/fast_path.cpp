@@ -150,7 +150,8 @@ void align_range(seq::ReadPairSpan batch, usize begin, usize end,
                  std::vector<align::AlignmentResult>& results,
                  SimdStats& stats, wfa::WfaCounters& counters,
                  u64& allocator_high_water,
-                 wfa::WfaAligner::MemoryMode memory_mode) {
+                 wfa::WfaAligner::MemoryMode memory_mode,
+                 u32 text_ends_free) {
   PIMWFA_ARG_CHECK(begin <= end && end <= batch.size() &&
                        end <= results.size(),
                    "align_range bounds [" << begin << ", " << end
@@ -161,6 +162,7 @@ void align_range(seq::ReadPairSpan batch, usize begin, usize end,
   wfa_options.memory_mode = memory_mode;
   const wfa::WfaKernels& kernels = wfa_kernels(level);
   wfa_options.kernels = &kernels;
+  wfa_options.text_ends_free = text_ends_free;
   wfa::WfaAligner fallback{wfa_options};
 
   const bool edit_penalties = penalties == align::Penalties::edit();
@@ -170,8 +172,15 @@ void align_range(seq::ReadPairSpan batch, usize begin, usize end,
   u64 h[kMaxLanes];
   bool fast[kMaxLanes];
 
-  for (usize g = begin; g < end; g += table.lanes) {
-    const usize n = std::min(table.lanes, end - g);
+  // The fast paths are proofs about global alignment only.
+  const usize fast_end = text_ends_free == 0 ? end : begin;
+  for (usize i = fast_end; i < end; ++i) {
+    results[i] = fallback.align(batch.pattern(i), batch.text(i), scope);
+    ++stats.pairs;
+    ++stats.wfa_pairs;
+  }
+  for (usize g = begin; g < fast_end; g += table.lanes) {
+    const usize n = std::min(table.lanes, fast_end - g);
     for (usize j = 0; j < n; ++j) {
       cap[j] = hamming_fast_path_cap(
           penalties, config.resolve(batch.pattern(g + j).size(),

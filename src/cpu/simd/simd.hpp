@@ -137,6 +137,9 @@ void mismatch_positions(SimdLevel level, std::string_view a,
 // backend's per-worker loop body.
 // `memory_mode` sets the fallback aligner's wavefront retention (fast
 // paths never touch the arena); kUltralow keeps long-read batches O(s).
+// A non-zero `text_ends_free` aligns ends-free (both text ends, see
+// align::BatchOptions): the fast paths are global-only, so every pair
+// then runs the vectorized WFA.
 void align_range(seq::ReadPairSpan batch, usize begin, usize end,
                  const align::Penalties& penalties,
                  align::AlignmentScope scope, SimdLevel level,
@@ -145,7 +148,8 @@ void align_range(seq::ReadPairSpan batch, usize begin, usize end,
                  SimdStats& stats, wfa::WfaCounters& counters,
                  u64& allocator_high_water,
                  wfa::WfaAligner::MemoryMode memory_mode =
-                     wfa::WfaAligner::MemoryMode::kHigh);
+                     wfa::WfaAligner::MemoryMode::kHigh,
+                 u32 text_ends_free = 0);
 
 // Deterministic single-core cost model of the SIMD layer, derived from
 // work counters (never wall time): the same sample is aligned once with
@@ -160,9 +164,11 @@ struct SpeedupModel {
   double scalar_units_per_pair = 0;
   double simd_units_per_pair = 0;
 };
+// Both runs align in the batch's mode (`text_ends_free`, 0 = global).
 SpeedupModel model_sample(seq::ReadPairSpan sample,
                           const align::Penalties& penalties,
                           align::AlignmentScope scope,
-                          const FastPathConfig& config, SimdLevel level);
+                          const FastPathConfig& config, SimdLevel level,
+                          u32 text_ends_free = 0);
 
 }  // namespace pimwfa::cpu::simd

@@ -1,7 +1,6 @@
 #include "map/mapper.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <string_view>
@@ -36,6 +35,8 @@ void MapperOptions::validate() const {
   PIMWFA_ARG_CHECK(error_rate >= 0.0 && error_rate <= 1.0,
                    "error rate " << error_rate << " outside [0,1]");
   batch.validate();
+  PIMWFA_ARG_CHECK(batch.memory_mode == align::MemoryMode::kHigh,
+                   "ends-free verification needs memory mode high");
   // Every survivor needs a materialized result to pick the best hit
   // from; modes that model pairs without aligning them cannot back a
   // mapper.
@@ -63,30 +64,34 @@ usize ReadMapper::pad_for(usize read_length) const {
   return 2 * seq::errors_for(read_length, options_.error_rate);
 }
 
-i64 ReadMapper::score_cap(usize read_length, usize window_length) const {
+i64 ReadMapper::score_cap(usize read_length) const {
   const auto& p = options_.batch.penalties;
   const i64 e_max =
       static_cast<i64>(seq::errors_for(read_length, options_.error_rate));
-  const i64 per_edit = std::max<i64>(p.mismatch, p.gap_open + p.gap_extend);
-  const i64 diff = std::abs(static_cast<i64>(window_length) -
-                            static_cast<i64>(read_length));
-  // Worst cost of a true placement: e_max budget edits, plus deleting the
-  // window overhangs around the read's span (two gap opens; the span
-  // length itself moves by at most e_max).
-  return e_max * per_edit + 2 * p.gap_open + (diff + e_max) * p.gap_extend;
+  // Worst cost of a true placement: e_max budget edits, each at most a
+  // mismatch or a one-base gap. The window overhangs are free text.
+  return e_max * std::max<i64>(p.mismatch, p.gap_open + p.gap_extend);
 }
 
-i64 ReadMapper::filter_threshold(usize read_length, usize window_length) const {
+i64 ReadMapper::filter_threshold(usize read_length) const {
   const auto& p = options_.batch.penalties;
   // Any alignment with edit distance d costs at least d * min(x, e), so
   // d > cap / min(x, e) implies the affine score exceeds the cap: the
   // filter only ever discards candidates brute force would not qualify.
   const i64 cheapest_edit = std::min<i64>(p.mismatch, p.gap_extend);
-  return score_cap(read_length, window_length) / cheapest_edit;
+  return score_cap(read_length) / cheapest_edit;
+}
+
+u32 ReadMapper::text_ends_free(const std::vector<std::string>& reads) const {
+  usize bound = 0;
+  for (const std::string& read : reads) {
+    bound = std::max(bound, 2 * pad_for(read.size()));
+  }
+  return static_cast<u32>(bound);
 }
 
 void ReadMapper::seed_and_filter(const std::vector<std::string>& reads,
-                                 usize first, usize last,
+                                 usize first, usize last, u32 ends_free,
                                  RangeSurvivors& out) const {
   const std::string_view genome{reference_};
   const usize glen = genome.size();
@@ -127,9 +132,11 @@ void ReadMapper::seed_and_filter(const std::vector<std::string>& reads,
       std::sort(votes.begin(), votes.end());
       votes.erase(std::unique(votes.begin(), votes.end()), votes.end());
 
-      // --- Filter: bounded Myers rejects provably non-qualifying windows
+      // --- Filter: bounded Myers over the verification's free-end span
+      // rejects provably non-qualifying windows.
       if (options_.filter && !votes.empty()) matcher.set_pattern(oriented);
       const usize pad = pad_for(length);
+      const i64 threshold = filter_threshold(length);
       for (const i64 vote : votes) {
         const usize start = static_cast<usize>(vote);
         if (start >= glen) continue;
@@ -139,13 +146,13 @@ void ReadMapper::seed_and_filter(const std::vector<std::string>& reads,
         ++out.candidates;
         const std::string_view window = genome.substr(begin, end - begin);
         if (options_.filter) {
-          const i64 threshold = filter_threshold(length, window.size());
-          if (matcher.bounded_distance(window, threshold) > threshold) {
+          if (matcher.bounded_distance(window, threshold, ends_free) >
+              threshold) {
             ++out.rejected;
             continue;
           }
         }
-        out.survivors.push_back({r, start, strand == 1});
+        out.survivors.push_back({r, begin, strand == 1});
         out.pairs.push_back({oriented, std::string(window)});
       }
     }
@@ -156,6 +163,7 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
   MapResult out;
   out.mappings.resize(reads.size());
   out.stats.reads = reads.size();
+  const u32 ends_free = text_ends_free(reads);
 
   // --- Seed + filter: one fused pass per read range, on the pool --------
   const std::vector<std::pair<usize, usize>> ranges =
@@ -163,7 +171,8 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
   std::vector<RangeSurvivors> parts(ranges.size());
   pool_->parallel_for(ranges.size(), [&](usize first, usize last) {
     for (usize i = first; i < last; ++i) {
-      seed_and_filter(reads, ranges[i].first, ranges[i].second, parts[i]);
+      seed_and_filter(reads, ranges[i].first, ranges[i].second, ends_free,
+                      parts[i]);
     }
   });
 
@@ -182,22 +191,23 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
   out.stats.verified = survivors.size();
   const seq::ReadPairSet verify_set(std::move(pairs));
 
-  // --- Verify: capped affine WFA over the survivor batch ------------------
+  // --- Verify: ends-free affine WFA over the survivor batch ---------------
   align::BatchResult batch_result;
   if (!survivors.empty()) {
     align::BatchOptions batch_options = options_.batch;
+    batch_options.text_ends_free = ends_free;
     if (options_.filter && batch_options.pim_max_score == 0) {
-      // Survivors have Myers distance <= threshold, and an alignment with
-      // d edits costs at most d * max(x, o + e): a provably safe per-batch
-      // score cap, which is what shrinks the PIM wavefront arenas.
+      // Survivors have Myers distance <= threshold over the same free-end
+      // span, and an alignment with d edits costs at most
+      // d * max(x, o + e): a provably safe per-batch score cap, which is
+      // what shrinks the PIM wavefront arenas.
       const auto& p = batch_options.penalties;
       const i64 per_edit =
           std::max<i64>(p.mismatch, p.gap_open + p.gap_extend);
       i64 max_threshold = 0;
       for (const seq::ReadPair& pair : verify_set.pairs()) {
         max_threshold =
-            std::max(max_threshold,
-                     filter_threshold(pair.pattern.size(), pair.text.size()));
+            std::max(max_threshold, filter_threshold(pair.pattern.size()));
       }
       batch_options.pim_max_score = static_cast<u64>(max_threshold * per_edit);
     }
@@ -233,14 +243,12 @@ MapResult ReadMapper::map(const std::vector<std::string>& reads) {
     const Candidate& candidate = survivors[i];
     const seq::ReadPair& pair = verify_set[i];
     const align::AlignmentResult& result = batch_result.results[i];
-    if (result.score > score_cap(pair.pattern.size(), pair.text.size())) {
-      continue;
-    }
+    if (result.score > score_cap(pair.pattern.size())) continue;
     ++out.stats.qualified;
     Mapping& best = out.mappings[candidate.read];
     if (!best.mapped || result.score < best.score) {
       best.mapped = true;
-      best.position = candidate.start;
+      best.position = candidate.window_begin + result.text_begin;
       best.reverse = candidate.reverse;
       best.score = result.score;
       best.cigar = result.cigar;

@@ -9,6 +9,13 @@
 // ReadPairSet and passed as a span to any registered backend or the
 // asynchronous BatchEngine.
 //
+// A candidate window is the voted start padded by pad_for(L) bases on
+// each side. Verification aligns the read *ends-free* against it
+// (align::BatchOptions::text_ends_free = the largest 2 * pad_for(L) over
+// the reads of a map() call): leading and trailing window bases are
+// free, so a true placement pays only for its own edits, and the
+// mapping's position is where its alignment starts in the reference.
+//
 // Seeding and filtering run fused, per contiguous read range, on a
 // worker pool the mapper owns (batch.cpu_threads workers, 0 = hardware
 // threads); each read is preprocessed once for the Myers filter of all
@@ -17,14 +24,16 @@
 // count. Direct backend verification runs on the same pool.
 //
 // The filter is *lossless* by construction, which is what makes the
-// bit-identity guarantee testable: a mapping qualifies iff its affine
-// score is <= score_cap (the worst cost of a true placement at the
-// configured divergence). Any alignment with edit distance d costs at
-// least d * min(mismatch, gap_extend), so candidates the filter rejects
-// (d > filter_threshold = score_cap / min(mismatch, gap_extend)) could
-// never have qualified under brute force either - filtered and
-// unfiltered mapping return the same best alignment, score and CIGAR,
-// on every backend.
+// bit-identity guarantee testable: a mapping qualifies iff its ends-free
+// affine score is <= score_cap = e_max * max(mismatch, gap_open +
+// gap_extend), the worst cost of a true placement at the configured
+// divergence. The filter computes the Myers distance over the same
+// free-end span (the search form, free leading and trailing text). Any
+// alignment with edit distance d costs at least d * min(mismatch,
+// gap_extend), so candidates the filter rejects (d > filter_threshold =
+// score_cap / min(mismatch, gap_extend)) could never have qualified under
+// brute force either - filtered and unfiltered mapping return the same
+// best alignment, position, score and CIGAR, on every backend.
 #pragma once
 
 #include <memory>
@@ -58,6 +67,7 @@ struct MapperOptions {
   bool filter = true;
 
   // Verification backend (align::backend_registry key) and its options.
+  // map() sets text_ends_free itself; memory_mode must stay kHigh.
   std::string backend = "cpu";
   align::BatchOptions batch;
 
@@ -77,10 +87,12 @@ struct MapperOptions {
 // candidate qualified).
 struct Mapping {
   bool mapped = false;
-  usize position = 0;  // inferred 0-based reference start of the read
+  usize position = 0;  // 0-based reference start of the read's alignment
   bool reverse = false;
   i64 score = 0;
-  seq::Cigar cigar;  // read (oriented) vs padded window, WFA backtrace
+  // Read (oriented) vs reference[position, position + text_length()),
+  // WFA backtrace.
+  seq::Cigar cigar;
 };
 
 struct MapperStats {
@@ -118,22 +130,24 @@ class ReadMapper {
   // Derived thresholds, exposed so tests can construct exact edge cases.
   // Window padding for a read of this length.
   usize pad_for(usize read_length) const;
-  // Highest qualifying affine score of a read of this length against a
-  // window of that length.
-  i64 score_cap(usize read_length, usize window_length) const;
-  // Myers distances above this cannot score within the cap.
-  i64 filter_threshold(usize read_length, usize window_length) const;
+  // Highest qualifying ends-free affine score of a read of this length.
+  i64 score_cap(usize read_length) const;
+  // Free-end Myers distances above this cannot score within the cap.
+  i64 filter_threshold(usize read_length) const;
+  // The free-end bound map(reads) filters and verifies with: the largest
+  // 2 * pad_for over the reads.
+  u32 text_ends_free(const std::vector<std::string>& reads) const;
 
   const KmerIndex& index() const noexcept { return index_; }
   const std::string& reference() const noexcept { return reference_; }
   const MapperOptions& options() const noexcept { return options_; }
 
  private:
-  // One filter survivor: read `read`, oriented per `reverse`, voted to
-  // start at reference position `start`.
+  // One filter survivor: read `read`, oriented per `reverse`, against
+  // the window starting at reference position `window_begin`.
   struct Candidate {
     usize read = 0;
-    usize start = 0;
+    usize window_begin = 0;
     bool reverse = false;
   };
 
@@ -147,9 +161,10 @@ class ReadMapper {
     usize rejected = 0;
   };
 
-  // Seeds, votes and filters reads [first, last) into `out`.
+  // Seeds, votes and filters reads [first, last) into `out`, over free
+  // ends of `ends_free` window bases.
   void seed_and_filter(const std::vector<std::string>& reads, usize first,
-                       usize last, RangeSurvivors& out) const;
+                       usize last, u32 ends_free, RangeSurvivors& out) const;
 
   std::string reference_;
   MapperOptions options_;

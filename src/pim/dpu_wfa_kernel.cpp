@@ -252,8 +252,17 @@ class Engine {
   }
 
   wfa::core::Problem problem() const {
-    return {pattern_, text_, plen_, tlen_, hdr_.mismatch,
-            hdr_.gap_open + hdr_.gap_extend, hdr_.gap_extend};
+    const i32 free = static_cast<i32>(
+        std::min<u32>(hdr_.text_ends_free, static_cast<u32>(tlen_)));
+    return {pattern_,
+            text_,
+            plen_,
+            tlen_,
+            hdr_.mismatch,
+            hdr_.gap_open + hdr_.gap_extend,
+            hdr_.gap_extend,
+            free,
+            free};
   }
 
   void bind_source(usize role, const Source& src) {
@@ -267,8 +276,11 @@ class Engine {
 
     u64 score = 0;
     usize cigar_len = 0;
+    u32 text_begin = 0;
 
-    if (plen_ == 0 || tlen_ == 0) {
+    // Degenerate pairs are one gap run, or nothing; ends-free ones run
+    // the core, which places the free text.
+    if ((plen_ == 0 || tlen_ == 0) && hdr_.text_ends_free == 0) {
       score = static_cast<u64>(wfa::core::gap_run_score(
           hdr_.gap_open, hdr_.gap_extend, begin_, static_cast<usize>(plen_),
           static_cast<usize>(tlen_)));
@@ -280,16 +292,17 @@ class Engine {
       }
     } else {
       const wfa::core::Problem p = problem();
-      bool done = wfa::core::start(*this, p, begin_, end_);
-      while (!done) {
+      i32 end_k = wfa::core::start(*this, p, begin_, end_);
+      while (end_k == wfa::core::kNoEnd) {
         ++score;
         PIMWFA_HW_CHECK(score <= hdr_.max_score,
                         "WFA exceeded batch score cap " << hdr_.max_score);
-        done = wfa::core::step(*this, p, static_cast<i64>(score), end_);
+        end_k = wfa::core::step(*this, p, static_cast<i64>(score), end_);
       }
       if (hdr_.full_alignment != 0) {
         cigar_pos_ = static_cast<usize>(cigar_cap_);
-        wfa::core::backtrace(*this, p, static_cast<i64>(score), begin_, end_);
+        text_begin = static_cast<u32>(wfa::core::backtrace(
+            *this, p, static_cast<i64>(score), begin_, end_, end_k));
         // Compact the ops to the buffer start for an aligned DMA out.
         cigar_len = static_cast<usize>(cigar_cap_) - cigar_pos_;
         u8* cigar = ctx_.wram_ptr(cigar_off_, cigar_cap_);
@@ -298,13 +311,21 @@ class Engine {
       }
     }
 
-    // Result record: [score, cigar_len] then the ops.
+    // Result record: [score, cigar_len], in ends-free batches
+    // [text_begin, 0], then the ops.
     const u64 result_addr = hdr_.results_addr + pair * hdr_.result_stride;
     u32 head[2] = {static_cast<u32>(score), static_cast<u32>(cigar_len)};
     std::memcpy(ctx_.wram_ptr(stage_off_, 8), head, 8);
     ctx_.mram_write(stage_off_, result_addr, 8);
+    const u64 head_bytes =
+        BatchLayout::result_head_bytes(hdr_.text_ends_free != 0);
+    if (head_bytes > 8) {
+      const u32 placement[2] = {text_begin, 0};
+      std::memcpy(ctx_.wram_ptr(stage_off_, 8), placement, 8);
+      ctx_.mram_write(stage_off_, result_addr + 8, 8);
+    }
     if (hdr_.full_alignment != 0 && cigar_len > 0) {
-      ctx_.mram_write_large(cigar_off_, result_addr + 8,
+      ctx_.mram_write_large(cigar_off_, result_addr + head_bytes,
                             round_up_pow2(cigar_len, 8));
     }
   }

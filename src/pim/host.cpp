@@ -53,12 +53,15 @@ align::AlignmentResult read_result_record(const upmem::PimSystem& system,
   std::memcpy(head, record.data(), 8);
   align::AlignmentResult result;
   result.score = static_cast<i64>(head[0]);
+  const usize ops_at = static_cast<usize>(
+      BatchLayout::result_head_bytes(layout.header().text_ends_free != 0));
+  if (ops_at > 8) std::memcpy(&result.text_begin, record.data() + 8, 4);
   if (full) {
     const usize len = head[1];
-    PIMWFA_CHECK(8 + len <= record.size(),
+    PIMWFA_CHECK(ops_at + len <= record.size(),
                  "DPU result CIGAR overruns its record");
-    result.cigar = seq::Cigar::from_ops(
-        std::string(reinterpret_cast<const char*>(record.data() + 8), len));
+    result.cigar = seq::Cigar::from_ops(std::string(
+        reinterpret_cast<const char*>(record.data() + ops_at), len));
     result.has_cigar = true;
   }
   return result;
@@ -87,6 +90,7 @@ struct BatchRun {
     params.policy = options.policy;
     params.packed_sequences = options.packed_sequences;
     params.max_score = options.max_score;
+    params.text_ends_free = options.text_ends_free;
     return BatchLayout::plan(params, options.system.mram_bytes);
   }
 
@@ -380,6 +384,7 @@ u64 tiling_arena_budget(const PimOptions& options, bool full,
   params.policy = options.policy;
   params.packed_sequences = options.packed_sequences;
   params.max_score = span_score_cap(options, max_p, max_t);
+  params.text_ends_free = options.text_ends_free;
   const BatchLayout probe =
       BatchLayout::plan(params, options.system.mram_bytes);
   const u64 reserved = probe.desc_table_bytes() + 4096;
@@ -427,7 +432,8 @@ std::vector<usize> screen_oversized(const PimOptions& options,
     const bool arena_heavy =
         options.tile_long_pairs &&
         TilingPlanner::retained_arena_estimate(
-            pair_score_bound(options, pl, tl), pl, tl) > budget;
+            pair_score_bound(options, pl, tl), pl, tl,
+            options.text_ends_free) > budget;
     if (wram_wall || arena_heavy) oversized.push_back(p);
   }
   return oversized;
@@ -534,6 +540,7 @@ PimOptions PimOptions::from(const align::BatchOptions& batch) {
   options.penalties = batch.penalties;
   options.packed_sequences = batch.pim_packed;
   options.max_score = batch.pim_max_score;
+  options.text_ends_free = batch.text_ends_free;
   options.simulate_dpus = batch.pim_simulate_dpus;
   options.virtual_total_pairs = batch.virtual_pairs;
   options.pipeline = batch.pim_pipeline;
@@ -667,12 +674,17 @@ PimBatchResult PimBatchAligner::align_batch(seq::ReadPairSpan batch,
           "pair " << p0 << " (" << pl << "x" << tl
                   << " bases) cannot run untiled: it needs "
                   << TilingPlanner::retained_arena_estimate(
-                         pair_score_bound(options_, pl, tl), pl, tl)
+                         pair_score_bound(options_, pl, tl), pl, tl,
+                         options_.text_ends_free)
                   << " wavefront-arena bytes but a tasklet gets " << budget
                   << ", and " << pl + tl << " sequence bytes against a "
                   << seg_bases
                   << "-base WRAM share; enable tile_long_pairs or lower "
                      "nr_tasklets");
+      PIMWFA_ARG_CHECK(options_.text_ends_free == 0,
+                       "pair " << p0 << " (" << pl << "x" << tl
+                               << " bases) would be tiled, and tiling "
+                                  "cannot run ends-free alignments");
       PIMWFA_ARG_CHECK(options_.virtual_total_pairs == 0,
                        "long-pair tiling cannot run virtual batches: every "
                        "segment must be materialized and stitched");

@@ -47,6 +47,10 @@ struct PimOptions {
   // batch's longest pair. Lower it for long reads where the worst case
   // cannot happen (e.g. bounded error rates).
   u64 max_score = 0;
+  // Ends-free bound of every pair (align::BatchOptions::text_ends_free);
+  // 0 = global. Pairs that would need tiling are rejected: segments
+  // cannot carry free ends.
+  u32 text_ends_free = 0;
   // Functionally simulate only this many DPUs (0 = all). See header note.
   usize simulate_dpus = 0;
   // Model a batch of this many pairs while only materializing the pairs of

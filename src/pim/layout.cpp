@@ -22,6 +22,7 @@ BatchLayout BatchLayout::plan(const Params& params, u64 mram_bytes) {
   h.gap_extend = params.penalties.gap_extend;
   h.full_alignment = params.full_alignment ? 1 : 0;
   h.policy = static_cast<u32>(params.policy);
+  h.text_ends_free = params.text_ends_free;
   h.max_score =
       params.max_score != 0
           ? params.max_score
@@ -45,7 +46,8 @@ BatchLayout BatchLayout::plan(const Params& params, u64 mram_bytes) {
   h.pairs_addr = sizeof(BatchHeader);
   h.pair_stride = 8 + layout.pattern_pad_ + layout.text_pad_;
   h.results_addr = h.pairs_addr + h.nr_pairs * h.pair_stride;
-  h.result_stride = 8 + layout.cigar_pad_;
+  h.result_stride =
+      result_head_bytes(params.text_ends_free != 0) + layout.cigar_pad_;
 
   // A single pair's records must fit with room for the header and at
   // least a minimal arena - otherwise no distribution can place the pair,

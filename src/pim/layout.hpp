@@ -15,8 +15,11 @@
 //                  packed bases - pad8(ceil(len/4)) bytes - quartering the
 //                  scatter volume that dominates Fig. 1's Total time)
 //   ResultRecord = { i32 score; u32 cigar_len;
+//                    [u32 text_begin; u32 zero;]
 //                    char cigar_ops[pad8(max_pattern + max_text)]; }
-//                  (the ops field is omitted in score-only batches)
+//                  (the ops field is omitted in score-only batches; the
+//                  bracketed text_begin word - where the CIGAR starts in
+//                  the text - only exists in ends-free batches)
 //
 // The per-tasklet metadata arena is where the WFA wavefront metadata lives
 // under the paper's metadata-in-MRAM policy: a descriptor table indexed by
@@ -57,7 +60,7 @@ enum class MetadataPolicy : u32 {
 // Fixed-size header at MRAM address 0. POD, 8-byte multiple.
 struct BatchHeader {
   u32 magic = kMagic;
-  u32 version = 1;
+  u32 text_ends_free = 0;  // ends-free bound of every pair; 0 = global
   u32 nr_pairs = 0;
   u32 nr_tasklets = 0;
   u32 max_pattern = 0;
@@ -112,6 +115,8 @@ class BatchLayout {
     // Score cap; 0 = worst case for (max_pattern, max_text). Determines
     // the descriptor-table size in each arena.
     u64 max_score = 0;
+    // Ends-free bound (align::BatchOptions::text_ends_free); 0 = global.
+    u32 text_ends_free = 0;
   };
 
   // Plans the layout; throws Error if it cannot fit in `mram_bytes`.
@@ -133,6 +138,10 @@ class BatchLayout {
   usize pattern_field_bytes() const noexcept { return pattern_pad_; }
   usize text_field_bytes() const noexcept { return text_pad_; }
   usize cigar_field_bytes() const noexcept { return cigar_pad_; }
+  // Bytes of a result record before its ops field.
+  static constexpr u64 result_head_bytes(bool ends_free) noexcept {
+    return ends_free ? 16 : 8;
+  }
   u64 total_bytes() const noexcept { return end_; }
   u64 pairs_bytes() const noexcept {
     return header_.nr_pairs * header_.pair_stride;

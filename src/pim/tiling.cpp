@@ -29,12 +29,15 @@ TilingPlanner::TilingPlanner(TilingConfig config)
 }
 
 u64 TilingPlanner::retained_arena_estimate(i64 score, usize plen,
-                                           usize tlen) {
+                                           usize tlen, usize text_ends_free) {
   // The DPU kernel's MetaSpace holds the same rows as a retained host
   // pass, plus 8-byte allocation granularity per array.
   const u64 alloc_slack = static_cast<u64>(score + 1) * 3u * 8u;
+  const u64 seed_widening = static_cast<u64>(score + 1) *
+                            std::min(text_ends_free, tlen) * 3u *
+                            sizeof(wfa::Offset);
   return wfa::WfaAligner::retained_bytes_estimate(score, plen, tlen) +
-         alloc_slack;
+         alloc_slack + seed_widening;
 }
 
 void TilingPlanner::plan_pair(usize pair_index, std::string_view pattern,

@@ -61,8 +61,11 @@ class TilingPlanner {
 
   // Peak metadata-arena bytes a DPU tasklet needs to retain the full
   // wavefront history of a (sub)problem of this score and size - the
-  // MRAM mirror of the host's kHigh footprint.
-  static u64 retained_arena_estimate(i64 score, usize plen, usize tlen);
+  // MRAM mirror of the host's kHigh footprint. An ends-free pair's rows
+  // are up to min(text_ends_free, tlen) diagonals wider: its score-0 row
+  // seeds every free text start.
+  static u64 retained_arena_estimate(i64 score, usize plen, usize tlen,
+                                     usize text_ends_free = 0);
 
  private:
   void recurse(usize pair_index, std::string_view pattern,

@@ -52,6 +52,11 @@ WfaAligner::WfaAligner(Options options, WavefrontAllocator* allocator)
         options_.heuristic.enabled),
       "MemoryMode::kUltralow is exact and incompatible with the adaptive "
       "heuristic");
+  PIMWFA_ARG_CHECK(options_.text_ends_free == 0 ||
+                       (options_.memory_mode == MemoryMode::kHigh &&
+                        !options_.heuristic.enabled),
+                   "ends-free alignment needs MemoryMode::kHigh and no "
+                   "adaptive heuristic");
   if (allocator != nullptr) {
     allocator_ = allocator;
   } else {
@@ -94,9 +99,18 @@ Wavefront WfaAligner::new_wavefront(i32 lo, i32 hi) {
 core::Problem WfaAligner::problem(std::string_view pattern,
                                  std::string_view text) const {
   const align::Penalties& p = options_.penalties;
-  return {pattern.data(), text.data(), static_cast<i32>(pattern.size()),
-          static_cast<i32>(text.size()), p.mismatch, p.gap_open + p.gap_extend,
-          p.gap_extend};
+  const i32 tl = static_cast<i32>(text.size());
+  const i32 free = static_cast<i32>(
+      std::min<u64>(options_.text_ends_free, static_cast<u64>(tl)));
+  return {pattern.data(),
+          text.data(),
+          static_cast<i32>(pattern.size()),
+          tl,
+          p.mismatch,
+          p.gap_open + p.gap_extend,
+          p.gap_extend,
+          free,
+          free};
 }
 
 // What both host storages share: Wavefront rows, the configured kernels,
@@ -344,7 +358,7 @@ bool WfaAligner::ring_init(ScoreRing& ring, std::string_view pattern,
 
   const core::Problem p = problem(pattern, text);
   RingRows rows(*this, p, ring, ring.slots[0]);
-  const bool done = core::start(rows, p, begin, end);
+  const bool done = core::start(rows, p, begin, end) != core::kNoEnd;
   update_progress(ring, ring.slots[0].set.m);
   return done;
 }
@@ -366,7 +380,7 @@ bool WfaAligner::ring_step(ScoreRing& ring, Component end) {
   RingSlot& slot = ring.slots[static_cast<usize>(ring.score) % ring.ring_size];
   const core::Problem p = problem(ring.pattern, ring.text);
   RingRows rows(*this, p, ring, slot);
-  const bool done = core::step(rows, p, ring.score, end);
+  const bool done = core::step(rows, p, ring.score, end) != core::kNoEnd;
   update_progress(ring, slot.set.m);
   return done;
 }
@@ -565,8 +579,8 @@ align::AlignmentResult WfaAligner::align_retained(std::string_view pattern,
   const core::Problem p = problem(pattern, text);
   RetainedRows rows(*this, p);
   i64 score = 0;
-  bool done = core::start(rows, p, begin, end);
-  while (!done) {
+  i32 end_k = core::start(rows, p, begin, end);
+  while (end_k == core::kNoEnd) {
     if (options_.heuristic.enabled) {
       reduce(sets_[static_cast<usize>(score)], p.pl, p.tl);
     }
@@ -574,14 +588,15 @@ align::AlignmentResult WfaAligner::align_retained(std::string_view pattern,
     ++counters_.score_steps;
     PIMWFA_CHECK(score <= score_cap,
                  "WFA exceeded score cap " << score_cap << " (max_score option)");
-    done = core::step(rows, p, score, end);
+    end_k = core::step(rows, p, score, end);
   }
 
   align::AlignmentResult result;
   result.score = score;
   if (scope == align::AlignmentScope::kFull) {
     cigar_builder_.reserve(pattern.size() + text.size());
-    core::backtrace(rows, p, score, begin, end);
+    result.text_begin =
+        static_cast<u32>(core::backtrace(rows, p, score, begin, end, end_k));
     counters_.backtrace_ops += cigar_builder_.size();
     result.cigar = cigar_builder_.finish();
     result.has_cigar = true;
@@ -603,11 +618,16 @@ align::AlignmentResult WfaAligner::align_span(std::string_view pattern,
   const usize plen = pattern.size();
   const usize tlen = text.size();
   ++counters_.alignments;
+  const bool ends_free = options_.text_ends_free != 0;
+  PIMWFA_ARG_CHECK(
+      !ends_free || (begin == Component::kM && end == Component::kM),
+      "ends-free alignment spans must begin and end in kM");
 
   align::AlignmentResult result;
 
-  // Degenerate inputs: a single gap run, or nothing.
-  if (plen == 0 || tlen == 0) {
+  // Degenerate inputs: a single gap run, or nothing. Ends-free ones run
+  // the core, which places the free text.
+  if ((plen == 0 || tlen == 0) && !ends_free) {
     result.score = core::gap_run_score(options_.penalties.gap_open,
                                        options_.penalties.gap_extend, begin,
                                        plen, tlen);

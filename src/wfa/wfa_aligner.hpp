@@ -11,7 +11,9 @@
 //   M[s][k] = max(M[s-x][k] + 1, I[s][k], D[s][k])
 //
 // until M[s][tlen - plen] reaches offset tlen. A backtrace over the stored
-// wavefronts reconstructs the CIGAR. The algorithm itself lives in
+// wavefronts reconstructs the CIGAR. With text-side free ends
+// (Options::text_ends_free) the alignment may instead start and end
+// inside the text; the result's text_begin says where its CIGAR starts. The algorithm itself lives in
 // wfa_core.hpp, shared with the DPU kernel; this class supplies host
 // storage (retained rows or score-only rings), the pluggable kernels and
 // the memory modes.
@@ -93,6 +95,10 @@ class WfaAligner final : public align::PairAligner {
     // the portable scalar defaults; the SIMD backend plugs in vectorized
     // implementations, which must stay bit-identical (see kernels.hpp).
     const WfaKernels* kernels = nullptr;
+    // Ends-free alignment (wfa_core.hpp): up to this many leading and,
+    // separately, trailing text bases may stay unaligned at no cost.
+    // 0 is global. Needs kHigh, no heuristic, and kM/kM spans.
+    u32 text_ends_free = 0;
   };
 
   // If `allocator` is null the aligner owns a SlabAllocator.
@@ -107,7 +113,12 @@ class WfaAligner final : public align::PairAligner {
   // Align a partial pair whose path enters in component `begin` and leaves
   // in component `end` (see Component). Honors the configured memory mode;
   // kM/kM is exactly align(). Used by the kUltralow recursion and by the
-  // PIM tiling planner/stitcher.
+  // PIM tiling planner/stitcher. A kI/kD boundary is only guaranteed to
+  // terminate when the span is cut on an optimal path of the enclosing
+  // pair, as those two cut: the furthest-reaching rows may never hold the
+  // cell an arbitrary forced-end path needs (for example "ACGTAC" vs
+  // "ACGTAC" from kM to kI runs into the score cap). Ends-free aligners
+  // accept kM/kM only.
   align::AlignmentResult align_span(std::string_view pattern,
                                     std::string_view text,
                                     align::AlignmentScope scope,

@@ -30,6 +30,13 @@
 //   Offset offset(i64 score, Component c, i32 k);  // random read
 //   void backtrace_step();
 //   void emit(char op, usize n);               // prepend n copies of op
+//
+// Ends-free mode (the WFA paper's text-side free ends): the alignment may
+// skip up to text_begin_free leading and text_end_free trailing text
+// bases at no cost, so the score-0 row seeds M[0][k] = k for every
+// skippable start k, and any cell that reaches the last pattern row
+// within the free tail ends the alignment. Bounds of 0/0 are the global
+// alignment, on the exact same path. Only kM/kM spans can be ends-free.
 #pragma once
 
 #include <algorithm>
@@ -50,9 +57,20 @@ struct Problem {
   i32 x = 0;   // mismatch
   i32 oe = 0;  // gap_open + gap_extend
   i32 e = 0;   // gap_extend
+  // Ends-free bounds, each at most tl: leading / trailing text bases the
+  // alignment may leave unaligned for free. 0/0 is global alignment.
+  i32 text_begin_free = 0;
+  i32 text_end_free = 0;
 
   i32 k_final() const noexcept { return tl - pl; }
+  bool ends_free() const noexcept {
+    return text_begin_free > 0 || text_end_free > 0;
+  }
 };
+
+// The diagonal an alignment ends on, as start/step report it; kNoEnd
+// while no row has completed the span yet.
+inline constexpr i32 kNoEnd = std::numeric_limits<i32>::min();
 
 // Diagonal range [lo, hi] of a stored component. An absent component has
 // kNoExtent, an empty range that no min or max below can pick.
@@ -143,14 +161,16 @@ inline i64 gap_run_score(i32 gap_open, i32 gap_extend, Component begin,
   return 0;
 }
 
-// Score-0 row: M[0][0] = 0. A span that begins inside a gap run also seeds
-// that component (the free gap-to-M transition), so the seam run extends
-// at gap_extend cost without re-paying gap_open.
+// Score-0 row: M[0][k] = k for every free text start k (only k = 0 when
+// global). A span that begins inside a gap run also seeds that component
+// (the free gap-to-M transition), so the seam run extends at gap_extend
+// cost without re-paying gap_open.
 template <class S>
-void seed(S& s, Component begin) {
-  auto&& out = s.open_row(0, 0, 0, begin == Component::kI,
+void seed(S& s, const Problem& p, Component begin) {
+  const i32 hi = std::min(p.text_begin_free, p.tl);
+  auto&& out = s.open_row(0, 0, hi, begin == Component::kI,
                           begin == Component::kD);
-  out.m.set(0, 0);
+  for (i32 k = 0; k <= hi; ++k) out.m.set(k, k);
   if (begin == Component::kI) out.i.set(0, 0);
   if (begin == Component::kD) out.d.set(0, 0);
   s.close_row(0, out);
@@ -180,17 +200,21 @@ void compute(S& s, const Problem& p, i64 score) {
 }
 
 // Extends every reachable M[score] cell along its diagonal over matching
-// bases. True when the final diagonal's cell reaches the end of the text.
-template <class S>
-bool extend(S& s, const Problem& p, i64 score) {
+// bases. Returns the diagonal whose cell ends the alignment, or kNoEnd.
+// Global: the final diagonal's cell reaches the end of the text.
+// Ends-free: the lowest diagonal whose cell reaches the last pattern row
+// with at most text_end_free text bases left.
+template <bool kEndsFree, class S>
+i32 extend(S& s, const Problem& p, i64 score) {
   typename S::Row m;
-  if (!s.extend_row(score, m)) return false;
+  if (!s.extend_row(score, m)) return kNoEnd;
   const char* const pattern = p.pattern;
   const char* const text = p.text;
   const i32 pl = p.pl;
   const i32 tl = p.tl;
   const i32 k_final = tl - pl;
-  bool done = false;
+  const i32 k_first_end = k_final - p.text_end_free;
+  i32 end = kNoEnd;
   for (i32 k = m.lo; k <= m.hi; ++k) {
     Offset off = m.get(k);
     if (!offset_reachable(off)) continue;
@@ -199,34 +223,42 @@ bool extend(S& s, const Problem& p, i64 score) {
         s.match_run(pattern + v, text + off,
                     static_cast<usize>(std::min(pl - v, tl - off))));
     m.set(k, off);
-    if (k == k_final && off >= tl) done = true;
+    if constexpr (kEndsFree) {
+      if (end == kNoEnd && k >= k_first_end && off - k == pl) end = k;
+    } else {
+      if (k == k_final && off >= tl) end = k;
+    }
   }
   m.flush();
-  return done;
+  return end;
 }
 
-// True when score's rows complete a (sub)alignment that must end in
-// `end`: that component's offset on the final diagonal reaches the end of
-// the text. For kM that is the extension's own finding, `m_done`.
+// Extends score's M row and returns the diagonal on which score's rows
+// complete a (sub)alignment that must end in `end`, or kNoEnd. For kI/kD
+// ends (global spans only) that component's offset on the final diagonal
+// must reach the end of the text.
 template <class S>
-bool hits_end(S& s, const Problem& p, i64 score, Component end,
-              bool m_done) {
-  if (end == Component::kM) return m_done;
-  return s.offset(score, end, p.k_final()) >= p.tl;
+i32 extend_to_end(S& s, const Problem& p, i64 score, Component end) {
+  const i32 m_end = p.ends_free() ? extend<true>(s, p, score)
+                                  : extend<false>(s, p, score);
+  if (end == Component::kM) return m_end;
+  return s.offset(score, end, p.k_final()) >= p.tl ? p.k_final() : kNoEnd;
 }
 
-// Seeds and extends score 0; true if that already completes the span.
+// Seeds and extends score 0; the end diagonal if that already completes
+// the span, else kNoEnd.
 template <class S>
-bool start(S& s, const Problem& p, Component begin, Component end) {
-  seed(s, begin);
-  return hits_end(s, p, 0, end, extend(s, p, 0));
+i32 start(S& s, const Problem& p, Component begin, Component end) {
+  seed(s, p, begin);
+  return extend_to_end(s, p, 0, end);
 }
 
-// Computes and extends `score`; true if it completes the span.
+// Computes and extends `score`; the end diagonal if it completes the
+// span, else kNoEnd.
 template <class S>
-bool step(S& s, const Problem& p, i64 score, Component end) {
+i32 step(S& s, const Problem& p, i64 score, Component end) {
   compute(s, p, score);
-  return hits_end(s, p, score, end, extend(s, p, score));
+  return extend_to_end(s, p, score, end);
 }
 
 template <class Fault>
@@ -236,19 +268,22 @@ template <class Fault>
   throw Fault(message.str());
 }
 
-// Walks the stored rows back from (final_score, end) to the seed, emitting
-// the CIGAR back to front. Ties prefer the mismatch, then the insertion,
-// then the deletion; a gap closes into M before extending its run.
+// Walks the stored rows back from (final_score, end) on diagonal end_k -
+// what start/step returned - to the seed, emitting the CIGAR back to
+// front. Ties prefer the mismatch, then the insertion, then the deletion;
+// a gap closes into M before extending its run. Returns the text offset
+// the alignment begins at (0 unless ends-free).
 template <class S>
-void backtrace(S& s, const Problem& p, i64 final_score, Component begin,
-               Component end) {
+i32 backtrace(S& s, const Problem& p, i64 final_score, Component begin,
+              Component end, i32 end_k) {
   using Fault = typename S::Fault;
   // Locals, not p's fields: emitting an op stores a char, which may alias
   // anything, so fields would be reloaded after every op.
   const i32 x = p.x, oe = p.oe, e = p.e, pl = p.pl, tl = p.tl;
+  const i32 seed_hi = std::min(p.text_begin_free, tl);
   i64 score = final_score;
-  i32 k = tl - pl;
-  Offset off = tl;
+  i32 k = end_k;
+  Offset off = end_k + pl;
   Component state = end;
   while (true) {
     s.backtrace_step();
@@ -261,11 +296,13 @@ void backtrace(S& s, const Problem& p, i64 final_score, Component begin,
       const Offset del = s.offset(score, Component::kD, k);
       const Offset best = std::max(sub, std::max(ins, del));
       if (!offset_reachable(best)) {
-        // Start of the alignment: the score-0 seed on diagonal 0 plus its
+        // Start of the alignment: a score-0 seed M[0][k] = k plus its
         // initial run of matches.
-        if (score != 0 || k != 0) backtrace_fault<Fault>("stuck", score, k);
-        s.emit('M', static_cast<usize>(off));
-        break;
+        if (score != 0 || k < 0 || k > seed_hi) {
+          backtrace_fault<Fault>("stuck", score, k);
+        }
+        s.emit('M', static_cast<usize>(off - k));
+        return k;
       }
       if (off < best) backtrace_fault<Fault>("offset regression", score, k);
       s.emit('M', static_cast<usize>(off - best));
@@ -281,7 +318,9 @@ void backtrace(S& s, const Problem& p, i64 final_score, Component begin,
       }
     } else if (state == Component::kI) {
       // The span seed I[0][0] is the entry state, not an operation.
-      if (begin == Component::kI && score == 0 && k == 0 && off == 0) break;
+      if (begin == Component::kI && score == 0 && k == 0 && off == 0) {
+        return 0;
+      }
       s.emit('I', 1);
       const Offset open_src =
           score >= oe ? s.offset(score - oe, Component::kM, k - 1)
@@ -301,7 +340,9 @@ void backtrace(S& s, const Problem& p, i64 final_score, Component begin,
       --off;
       --k;
     } else {
-      if (begin == Component::kD && score == 0 && k == 0 && off == 0) break;
+      if (begin == Component::kD && score == 0 && k == 0 && off == 0) {
+        return 0;
+      }
       s.emit('D', 1);
       const Offset open_src =
           score >= oe ? s.offset(score - oe, Component::kM, k + 1)

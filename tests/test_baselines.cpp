@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "align/verify.hpp"
 #include "baselines/gotoh.hpp"
 #include "baselines/myers.hpp"
@@ -247,6 +252,64 @@ TEST(MyersMatcher, ReuseAcrossShrinkingPatternsMatchesLevenshtein) {
       for (i64 t = 0; t <= d + 2; ++t) {
         EXPECT_EQ(matcher.bounded_distance(text, t), std::min(d, t + 1))
             << length << " " << trial << " t=" << t;
+      }
+    }
+  }
+}
+
+// Edit distance between `pattern` and text[b, e), minimized over
+// b <= free and e >= |text| - free (plain O(nm) DP).
+i64 free_end_edit_distance(std::string_view pattern, std::string_view text,
+                           usize free) {
+  const usize m = text.size();
+  std::vector<i64> row(m + 1);
+  for (usize j = 0; j <= m; ++j) {
+    row[j] = static_cast<i64>(j > free ? j - free : 0);
+  }
+  for (usize i = 1; i <= pattern.size(); ++i) {
+    i64 diagonal = row[0];
+    row[0] = static_cast<i64>(i);
+    for (usize j = 1; j <= m; ++j) {
+      const i64 up = row[j];
+      row[j] = std::min({up + 1, row[j - 1] + 1,
+                         diagonal + (pattern[i - 1] == text[j - 1] ? 0 : 1)});
+      diagonal = up;
+    }
+  }
+  return *std::min_element(row.begin() + static_cast<std::ptrdiff_t>(
+                                             m - std::min(free, m)),
+                           row.end());
+}
+
+// The search form: free leading and trailing text, from the global case
+// (bound 0) through bounded ends to the semi-global distance (a bound of
+// the text length or more), against a DP oracle at every threshold
+// 0..d+2. One matcher serves every pattern, so state left over from a
+// longer pattern or another bound would surface as a wrong distance.
+TEST(MyersMatcher, SearchFormMatchesFreeEndDp) {
+  Rng rng(0x5E4C);
+  MyersMatcher matcher;
+  for (const usize length : {150u, 70u, 64u, 30u, 1u, 0u}) {
+    const std::string pattern = seq::random_sequence(rng, length);
+    matcher.set_pattern(pattern);
+    for (int trial = 0; trial < 10; ++trial) {
+      std::string text =
+          trial % 3 == 2
+              ? seq::random_sequence(rng, length / 2 + rng.next_below(20))
+              : seq::random_sequence(rng, rng.next_below(15)) +
+                    seq::mutate_sequence(rng, pattern, rng.next_below(5)) +
+                    seq::random_sequence(rng, rng.next_below(15));
+      if (trial == 4) text[text.size() / 2] = 'N';
+      const usize tl = text.size();
+      for (const usize free : {usize{0}, usize{1}, usize{4}, tl, tl + 9,
+                               rng.next_below(tl + 1)}) {
+        const i64 d = free_end_edit_distance(pattern, text, free);
+        for (i64 t = 0; t <= d + 2; ++t) {
+          EXPECT_EQ(matcher.bounded_distance(text, t, free),
+                    std::min(d, t + 1))
+              << "length " << length << " trial " << trial << " free "
+              << free << " t=" << t;
+        }
       }
     }
   }

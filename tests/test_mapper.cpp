@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,10 @@ namespace {
 
 // --- k-mer index / seeding correctness -----------------------------------
 
+std::vector<u32> to_vector(std::span<const u32> hits) {
+  return {hits.begin(), hits.end()};
+}
+
 TEST(KmerIndex, IndexesEveryValidWindow) {
   const std::string reference = "ACGTACGTACGT";
   KmerIndex index(reference, 4);
@@ -29,8 +34,8 @@ TEST(KmerIndex, IndexesEveryValidWindow) {
   EXPECT_EQ(index.indexed_positions(), reference.size() - 4 + 1);
   EXPECT_EQ(index.skipped_positions(), 0u);
   // "ACGT" occurs at 0, 4, 8.
-  EXPECT_EQ(index.lookup("ACGT"), (std::vector<u32>{0, 4, 8}));
-  EXPECT_EQ(index.lookup("CGTA"), (std::vector<u32>{1, 5}));
+  EXPECT_EQ(to_vector(index.lookup("ACGT")), (std::vector<u32>{0, 4, 8}));
+  EXPECT_EQ(to_vector(index.lookup("CGTA")), (std::vector<u32>{1, 5}));
   EXPECT_TRUE(index.lookup("AAAA").empty());
 }
 
@@ -56,7 +61,7 @@ TEST(KmerIndex, SkipsWindowsOverlappingInvalidBases) {
   EXPECT_EQ(index.skipped_positions(), 4u);
   EXPECT_EQ(index.indexed_positions(), reference.size() - 4 + 1 - 4);
   for (usize start = 4; start <= 7; ++start) {
-    const auto& hits = index.lookup(reference.substr(start, 4));
+    const auto hits = index.lookup(reference.substr(start, 4));
     EXPECT_TRUE(std::find(hits.begin(), hits.end(), static_cast<u32>(start)) ==
                 hits.end())
         << "window at " << start << " overlaps the N and must not be indexed";
@@ -65,7 +70,7 @@ TEST(KmerIndex, SkipsWindowsOverlappingInvalidBases) {
   EXPECT_TRUE(index.lookup("ACGN").empty());
   EXPECT_TRUE(index.lookup("TCGN").empty());
   // The valid windows around the run are still found.
-  EXPECT_EQ(index.lookup("ACGT"), (std::vector<u32>{0, 8, 12}));
+  EXPECT_EQ(to_vector(index.lookup("ACGT")), (std::vector<u32>{0, 8, 12}));
 }
 
 TEST(KmerIndex, RejectsOutOfRangeK) {
@@ -189,10 +194,21 @@ struct EdgeFixture {
     return read;
   }
 
-  // The read from `position` whose global Myers distance against its
-  // padded window is exactly `target` (adding isolated substitutions
-  // raises the distance by at most 1 per step, so the search cannot
-  // overshoot a reachable target).
+  // The Myers distance the filter computes for `read` against its padded
+  // window: free leading and trailing window bases, as many as the
+  // mapper's verification span allows.
+  static i64 filter_distance(const ReadMapper& mapper,
+                             const std::string& read,
+                             std::string_view window) {
+    const usize free = mapper.text_ends_free({read});
+    return baselines::MyersMatcher(read).bounded_distance(
+        window, static_cast<i64>(read.size() + window.size()), free);
+  }
+
+  // The read from `position` whose filter distance against its padded
+  // window is exactly `target` (adding isolated substitutions raises the
+  // distance by at most 1 per step, so the search cannot overshoot a
+  // reachable target).
   std::string read_at_distance(const ReadMapper& mapper, usize position,
                                usize length, i64 target) const {
     const usize pad = mapper.pad_for(length);
@@ -201,9 +217,7 @@ struct EdgeFixture {
     for (usize subs = 1; subs < length / 2; ++subs) {
       const std::string read =
           read_with_substitutions(position, length, subs);
-      if (baselines::myers_edit_distance(read, window) == target) {
-        return read;
-      }
+      if (filter_distance(mapper, read, window) == target) return read;
     }
     ADD_FAILURE() << "no substitution count reaches distance " << target;
     return genome.substr(position, length);
@@ -220,13 +234,14 @@ TEST(FilterThreshold, CandidateExactlyAtCutoffSurvives) {
   const usize position = 500;
   const usize pad = mapper.pad_for(read_length);
   const usize window_length = read_length + 2 * pad;
-  const i64 threshold = mapper.filter_threshold(read_length, window_length);
-  // Global Myers distance vs the padded window includes deleting the two
-  // pads; land exactly on the threshold.
+  const i64 threshold = mapper.filter_threshold(read_length);
+  // The free-end Myers distance vs the padded window skips the pads; land
+  // exactly on the threshold.
   const std::string read =
       fixture.read_at_distance(mapper, position, read_length, threshold);
-  ASSERT_EQ(baselines::myers_edit_distance(
-                read, fixture.genome.substr(position - pad, window_length)),
+  ASSERT_EQ(EdgeFixture::filter_distance(
+                mapper, read,
+                fixture.genome.substr(position - pad, window_length)),
             threshold);
 
   auto result = mapper.map({read});
@@ -245,9 +260,7 @@ TEST(FilterThreshold, CandidateJustPastCutoffIsRejected) {
   EdgeFixture fixture;
   ReadMapper mapper(fixture.genome, fixture.options);
   const usize read_length = 100;
-  const usize pad = mapper.pad_for(read_length);
-  const i64 threshold =
-      mapper.filter_threshold(read_length, read_length + 2 * pad);
+  const i64 threshold = mapper.filter_threshold(read_length);
   const std::string read =
       fixture.read_at_distance(mapper, 500, read_length, threshold + 1);
 
@@ -478,6 +491,41 @@ TEST(ReadMapper, MapsBothStrandsToTheTrueLocus) {
   EXPECT_GE(reverse_correct * 10, reverse_reads * 9);
 }
 
+// Verification is ends-free: a mapping's position is where its alignment
+// starts in the reference, and its CIGAR aligns the oriented read against
+// the reference from there, at exactly its score and within the cap.
+TEST(ReadMapper, PositionIsTheAlignmentStart) {
+  const Workload workload;
+  const MapperOptions options = backend_options("cpu");
+  ReadMapper mapper(workload.genome, options);
+  const MapResult result = mapper.map(workload.queries);
+  const auto& pen = options.batch.penalties;
+  usize exact = 0;
+  usize mapped = 0;
+  for (usize r = 0; r < workload.queries.size(); ++r) {
+    const Mapping& m = result.mappings[r];
+    if (!m.mapped) continue;
+    ++mapped;
+    const std::string read = m.reverse
+                                 ? seq::reverse_complement(workload.queries[r])
+                                 : workload.queries[r];
+    ASSERT_LE(m.position + m.cigar.text_length(), workload.genome.size());
+    EXPECT_NO_THROW(m.cigar.validate(
+        read, std::string_view(workload.genome)
+                  .substr(m.position, m.cigar.text_length())))
+        << "read " << r;
+    EXPECT_EQ(m.cigar.affine_score(pen.mismatch, pen.gap_open,
+                                   pen.gap_extend),
+              m.score);
+    EXPECT_LE(m.score, mapper.score_cap(read.size()));
+    exact += m.position == workload.truth[r].position &&
+             m.reverse == workload.truth[r].reverse;
+  }
+  // Simulated edits rarely move the alignment start, so nearly every
+  // read lands on its true start exactly.
+  EXPECT_GE(exact * 10, mapped * 9);
+}
+
 TEST(ReadMapper, NContainingReferenceAndReadsMapCleanly) {
   const Workload workload(/*n_islands=*/5);
   ASSERT_NE(workload.genome.find('N'), std::string::npos);
@@ -537,10 +585,12 @@ TEST(MapperOptions, ThresholdsFollowTheFormulas) {
   ReadMapper mapper(synthetic_reference(config), MapperOptions{});
   // Defaults: x=4, o=6, e=2, error_rate 0.02 -> e_max = 2 at L = 100.
   EXPECT_EQ(mapper.pad_for(100), 4u);
-  // cap = e_max*max(x,o+e) + 2o + (|W-L| + e_max)*e = 16 + 12 + 20 = 48.
-  EXPECT_EQ(mapper.score_cap(100, 108), 48);
-  // t = cap / min(x, e) = 48 / 2.
-  EXPECT_EQ(mapper.filter_threshold(100, 108), 24);
+  // cap = e_max * max(x, o+e) = 2 * 8: the window overhangs are free.
+  EXPECT_EQ(mapper.score_cap(100), 16);
+  // t = cap / min(x, e) = 16 / 2.
+  EXPECT_EQ(mapper.filter_threshold(100), 8);
+  // The verification span frees 2 * pad_for bases at each window end.
+  EXPECT_EQ(mapper.text_ends_free({std::string(100, 'A')}), 8u);
 }
 
 }  // namespace

@@ -640,6 +640,114 @@ TEST(PimGoldenCounters, TiledPairWithGapSeams) {
                 batch, options, {stitched});
 }
 
+// --- ends-free batches ------------------------------------------------------
+
+// Reads inside windows padded by up to `free` random bases per side, plus
+// degenerate pairs: what a mapper's verification batch looks like.
+seq::ReadPairSet ends_free_batch(u64 seed, u32 free) {
+  Rng rng(seed);
+  seq::ReadPairSet batch;
+  for (usize i = 0; i < 30; ++i) {
+    const std::string read = seq::random_sequence(rng, 40 + rng.next_below(60));
+    batch.add({read, seq::random_sequence(rng, rng.next_below(free + 1)) +
+                         seq::mutate_sequence(rng, read, i % 4) +
+                         seq::random_sequence(rng, rng.next_below(free + 1))});
+  }
+  batch.add({"", "ACGTACGTAC"});
+  batch.add({"ACGT", ""});
+  batch.add({"", ""});
+  batch.add({"ACGTACGTAC", "ACG"});
+  return batch;
+}
+
+// The DPU kernel runs the core's ends-free mode exactly like the host:
+// scores, CIGARs and text_begin, on every policy, transfer format and
+// execution path.
+TEST(PimEndsFree, KernelMatchesHostOnEveryPolicyAndFormat) {
+  constexpr u32 kFree = 8;
+  const seq::ReadPairSet batch = ends_free_batch(0xEF01, kFree);
+  wfa::WfaAligner::Options host_options{Penalties::defaults()};
+  host_options.text_ends_free = kFree;
+  wfa::WfaAligner host(host_options);
+  for (const AlignmentScope scope :
+       {AlignmentScope::kFull, AlignmentScope::kScoreOnly}) {
+    std::vector<align::AlignmentResult> want;
+    usize placed = 0;
+    for (usize i = 0; i < batch.size(); ++i) {
+      want.push_back(host.align(batch[i].pattern, batch[i].text, scope));
+      placed += want.back().text_begin > 0;
+    }
+    if (scope == AlignmentScope::kFull) {
+      EXPECT_GT(placed, 0u) << "no alignment starts inside its text";
+    }
+    for (const MetadataPolicy policy :
+         {MetadataPolicy::kMram, MetadataPolicy::kWram}) {
+      for (const bool packed : {false, true}) {
+        for (const bool pipeline : {false, true}) {
+          PimOptions options = tiny_options(
+              2, policy == MetadataPolicy::kWram ? 2 : 6, policy);
+          if (policy == MetadataPolicy::kWram) options.max_score = 64;
+          options.packed_sequences = packed;
+          options.pipeline = pipeline;
+          options.pipeline_chunks = pipeline ? 2 : 0;
+          options.text_ends_free = kFree;
+          const PimBatchResult got =
+              PimBatchAligner(options).align_batch(batch, scope);
+          EXPECT_EQ(got.results, want)
+              << "policy " << static_cast<int>(policy) << " packed "
+              << packed << " pipeline " << pipeline;
+          if (scope == AlignmentScope::kFull) {
+            for (usize i = 0; i < batch.size(); ++i) {
+              EXPECT_NO_THROW(align::verify_result(
+                  got.results[i], batch[i].pattern, batch[i].text,
+                  Penalties::defaults(), kFree));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The bound rides in the header's existing slot and text_begin in an
+// ends-free-only word of the result record: global records keep their
+// layout.
+TEST(PimEndsFree, GlobalRecordsKeepTheirLayout) {
+  BatchLayout::Params params;
+  params.nr_pairs = 4;
+  params.max_pattern = 100;
+  params.max_text = 108;
+  const BatchLayout global = BatchLayout::plan(params, 64u << 20);
+  params.text_ends_free = 8;
+  const BatchLayout ends_free = BatchLayout::plan(params, 64u << 20);
+  EXPECT_EQ(global.header().text_ends_free, 0u);
+  EXPECT_EQ(ends_free.header().text_ends_free, 8u);
+  EXPECT_EQ(global.header().pair_stride, ends_free.header().pair_stride);
+  EXPECT_EQ(global.header().result_stride, 8 + global.cigar_field_bytes());
+  EXPECT_EQ(ends_free.header().result_stride,
+            global.header().result_stride + 8);
+}
+
+// Tiled segments cannot carry free ends, so a batch that would tile is
+// refused rather than aligned globally.
+TEST(PimEndsFree, PairsThatWouldTileAreRejected) {
+  Rng rng(0xEF02);
+  seq::ReadPairSet batch;
+  batch.add(pimwfa::testing::random_pair(rng, 300, 10));
+  PimOptions options = tiny_options(1, 4);
+  options.tile_max_segment_bases = 256;
+  options.text_ends_free = 8;
+  EXPECT_THROW(PimBatchAligner(options).align_batch(batch,
+                                                    AlignmentScope::kFull),
+               InvalidArgument);
+  align::BatchOptions unified;
+  unified.text_ends_free = 8;
+  unified.memory_mode = align::MemoryMode::kLow;
+  EXPECT_THROW(unified.validate(), InvalidArgument);
+  unified.memory_mode = align::MemoryMode::kUltralow;
+  EXPECT_THROW(unified.validate(), InvalidArgument);
+}
+
 #ifdef __linux__
 // Host memory per simulated DPU follows the MRAM pages a batch touches, not
 // the span up to the last tasklet's metadata arena near the top of each

@@ -479,5 +479,58 @@ TEST(SimdBackend, CostModelReportsSpeedupAndTrafficReduction) {
   }
 }
 
+// Ends-free batches (reads inside padded windows) bypass the global-only
+// fast paths: every level and the cpu backend with and without SIMD give
+// the scalar ends-free WfaAligner's results, text_begin included, and the
+// model sample aligns in the same mode.
+TEST(SimdEndsFree, EveryLevelMatchesScalarEndsFree) {
+  constexpr u32 kFree = 8;
+  Rng rng(0xEF5D);
+  seq::ReadPairSet batch;
+  for (usize i = 0; i < 40; ++i) {
+    const std::string read = seq::random_sequence(rng, 100);
+    batch.add({read, seq::random_sequence(rng, rng.next_below(kFree + 1)) +
+                         seq::mutate_sequence(rng, read, i % 5) +
+                         seq::random_sequence(rng, rng.next_below(kFree + 1))});
+  }
+  batch.add({"", "ACGT"});
+  batch.add({"ACGT", ""});
+  batch.add({"ACGTACGT", "ACGTACGT"});
+  wfa::WfaAligner::Options options{Penalties::defaults()};
+  options.text_ends_free = kFree;
+  for (const AlignmentScope scope :
+       {AlignmentScope::kScoreOnly, AlignmentScope::kFull}) {
+    wfa::WfaAligner scalar(options);
+    std::vector<align::AlignmentResult> want(batch.size());
+    for (usize i = 0; i < batch.size(); ++i) {
+      want[i] = scalar.align(batch[i].pattern, batch[i].text, scope);
+    }
+    for (const SimdLevel level : available_levels()) {
+      std::vector<align::AlignmentResult> got(batch.size());
+      SimdStats stats;
+      wfa::WfaCounters counters;
+      u64 high_water = 0;
+      cpu::simd::align_range(batch, 0, batch.size(), Penalties::defaults(),
+                             scope, level, {}, got, stats, counters,
+                             high_water, wfa::WfaAligner::MemoryMode::kHigh,
+                             kFree);
+      EXPECT_EQ(got, want) << cpu::simd::level_name(level);
+      EXPECT_EQ(stats.wfa_pairs, batch.size());
+      EXPECT_EQ(stats.fast_path_pairs(), 0u);
+      const cpu::simd::SpeedupModel model = cpu::simd::model_sample(
+          batch, Penalties::defaults(), scope, {}, level, kFree);
+      EXPECT_EQ(model.fast_path_fraction, 0.0);
+    }
+    for (const bool simd : {false, true}) {
+      align::BatchOptions batch_options;
+      batch_options.cpu_simd = simd;
+      batch_options.cpu_threads = 2;
+      batch_options.text_ends_free = kFree;
+      cpu::CpuBatchAligner aligner(batch_options);
+      EXPECT_EQ(aligner.run(batch, scope).results, want) << "simd=" << simd;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pimwfa

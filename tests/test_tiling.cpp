@@ -140,6 +140,46 @@ TEST(PimTiling, TiledFullAlignmentMatchesHost) {
   EXPECT_EQ(result.timings.pairs, batch.size());
 }
 
+// What tiling promises for a pair with co-optimal paths: the optimal
+// score, and the CIGAR of the host's span alignments of the same segments,
+// stitched - not necessarily WfaAligner::align's CIGAR, since the planner
+// cuts on *an* optimal path and the host backtrace's tie-breaks may pick
+// another.
+TEST(PimTiling, TiledCigarIsTheSpanStitchedHostCigar) {
+  Rng rng(197);
+  seq::ReadPairSet batch;
+  batch.add(pimwfa::testing::random_pair(rng, 900, 120));
+  const std::string& pattern = batch[0].pattern;
+  const std::string& text = batch[0].text;
+  PimOptions options = tiny_options(1, 4);
+  options.tile_max_segment_bases = 256;
+  const PimBatchResult result =
+      PimBatchAligner(options).align_batch(batch, AlignmentScope::kFull);
+  ASSERT_EQ(result.results.size(), 1u);
+  EXPECT_EQ(result.timings.tiled_pairs, 1u);
+
+  TilingConfig config;
+  config.arena_budget_bytes = u64{1} << 30;
+  config.max_segment_bases = options.tile_max_segment_bases;
+  std::vector<TileSegment> segments;
+  TilingPlanner(config).plan_pair(0, pattern, text, segments);
+  wfa::WfaAligner host(Penalties::defaults());
+  std::vector<align::AlignmentResult> spans;
+  for (const TileSegment& seg : segments) {
+    spans.push_back(host.align_span(
+        std::string_view(pattern).substr(seg.v0, seg.pattern_length()),
+        std::string_view(text).substr(seg.h0, seg.text_length()),
+        AlignmentScope::kFull, seg.begin, seg.end));
+  }
+  const align::AlignmentResult stitched =
+      stitch_segments(segments, 0, segments.size(), spans, true);
+  EXPECT_EQ(result.results[0].score,
+            host.align(pattern, text, AlignmentScope::kScoreOnly).score);
+  EXPECT_EQ(result.results[0].cigar, stitched.cigar);
+  EXPECT_NO_THROW(align::verify_result(result.results[0], pattern, text,
+                                       Penalties::defaults()));
+}
+
 TEST(PimTiling, TiledScoreOnlyMatchesHost) {
   Rng rng(8);
   seq::ReadPairSet batch;

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "align/verify.hpp"
 #include "baselines/gotoh.hpp"
 #include "baselines/nw.hpp"
@@ -585,6 +591,169 @@ TEST(SlabAllocator, HighWaterPersistsAcrossReset) {
   allocator.allocate(8);
   EXPECT_GE(allocator.high_water(), 512u);
   EXPECT_EQ(allocator.bytes_in_use(), 8u);
+}
+
+// --- ends-free alignment (text-side free ends) ---------------------------
+
+// Brute-force gap-affine DP (Gotoh) with text-side free ends: the
+// cheapest alignment of the whole pattern against text[b, e) over
+// b <= free and e >= |text| - free. Bytes match iff equal.
+i64 ends_free_oracle(std::string_view p, std::string_view t,
+                     const Penalties& pen, usize free) {
+  constexpr i64 kInf = std::numeric_limits<i64>::max() / 4;
+  const usize n = p.size();
+  const usize m = t.size();
+  const i64 oe = pen.gap_open + pen.gap_extend;
+  const auto at = [m](usize i, usize j) { return i * (m + 1) + j; };
+  // h: best over all end states; ins / del: ending in a gap that
+  // consumes text / pattern.
+  std::vector<i64> h((n + 1) * (m + 1), kInf);
+  std::vector<i64> ins(h.size(), kInf);
+  std::vector<i64> del(h.size(), kInf);
+  for (usize i = 0; i <= n; ++i) {
+    for (usize j = 0; j <= m; ++j) {
+      i64 best = (i == 0 && j <= free) ? 0 : kInf;
+      if (j > 0) {
+        ins[at(i, j)] = std::min(h[at(i, j - 1)] + oe,
+                                 ins[at(i, j - 1)] + pen.gap_extend);
+        best = std::min(best, ins[at(i, j)]);
+      }
+      if (i > 0) {
+        del[at(i, j)] = std::min(h[at(i - 1, j)] + oe,
+                                 del[at(i - 1, j)] + pen.gap_extend);
+        best = std::min(best, del[at(i, j)]);
+      }
+      if (i > 0 && j > 0) {
+        best = std::min(best, h[at(i - 1, j - 1)] +
+                                  (p[i - 1] == t[j - 1] ? 0 : pen.mismatch));
+      }
+      h[at(i, j)] = best;
+    }
+  }
+  i64 best = kInf;
+  for (usize j = m - std::min(free, m); j <= m; ++j) {
+    best = std::min(best, h[at(n, j)]);
+  }
+  return best;
+}
+
+WfaAligner ends_free_aligner(const Penalties& penalties, usize free) {
+  WfaAligner::Options options{penalties};
+  options.text_ends_free = static_cast<u32>(free);
+  return WfaAligner(options);
+}
+
+// A read-like pattern inside a text with random flanks; some pairs carry
+// N and lowercase bytes, some patterns outgrow their text, some are empty.
+seq::ReadPair ends_free_pair(Rng& rng, usize trial) {
+  const usize length = trial % 9 == 0 ? 0 : 1 + rng.next_below(70);
+  std::string pattern = seq::random_sequence(rng, length);
+  std::string core = seq::mutate_sequence(rng, pattern, rng.next_below(6));
+  if (trial % 7 == 3 && core.size() > 4) core.resize(core.size() / 2);
+  std::string text = seq::random_sequence(rng, rng.next_below(12)) + core +
+                     seq::random_sequence(rng, rng.next_below(12));
+  if (trial % 5 == 1) {
+    for (std::string* s : {&pattern, &text}) {
+      for (char& c : *s) {
+        if (rng.next_below(10) == 0) c = 'N';
+        if (rng.next_below(10) == 0) c = static_cast<char>(c | 0x20);
+      }
+    }
+  }
+  return {pattern, text};
+}
+
+TEST(WfaEndsFree, MatchesBruteForceOracle) {
+  Rng rng(0xE4D5);
+  for (const Penalties& penalties :
+       {Penalties::defaults(), Penalties{1, 0, 1}, Penalties{3, 4, 1}}) {
+    for (usize trial = 0; trial < 120; ++trial) {
+      const seq::ReadPair pair = ends_free_pair(rng, trial);
+      const std::string_view p = pair.pattern;
+      const std::string_view t = pair.text;
+      const usize tl = t.size();
+      for (const usize free :
+           {usize{0}, usize{1}, usize{3}, tl, rng.next_below(tl + 1)}) {
+        WfaAligner aligner = ends_free_aligner(penalties, free);
+        const i64 want = ends_free_oracle(p, t, penalties, free);
+        const auto full = aligner.align(p, t, AlignmentScope::kFull);
+        const auto score_only = aligner.align(p, t, AlignmentScope::kScoreOnly);
+        ASSERT_EQ(full.score, want)
+            << "pattern=" << p << " text=" << t << " free=" << free;
+        EXPECT_EQ(score_only.score, want);
+        EXPECT_EQ(score_only.text_begin, 0u);
+        // In bounds, consuming the whole pattern, at exactly its score.
+        EXPECT_NO_THROW(align::verify_result(full, p, t, penalties, free));
+      }
+    }
+  }
+}
+
+TEST(WfaEndsFree, ZeroBoundsAreTheGlobalAlignment) {
+  Rng rng(0xE4D6);
+  WfaAligner global(Penalties::defaults());
+  WfaAligner zero = ends_free_aligner(Penalties::defaults(), 0);
+  for (usize trial = 0; trial < 40; ++trial) {
+    const seq::ReadPair pair = ends_free_pair(rng, trial);
+    EXPECT_EQ(zero.align(pair.pattern, pair.text, AlignmentScope::kFull),
+              global.align(pair.pattern, pair.text, AlignmentScope::kFull));
+  }
+}
+
+TEST(WfaEndsFree, FindsAnEmbeddedRead) {
+  const std::string text = "TTGACCAGTACGTACGGATCCATGCAAGT";
+  const std::string pattern = text.substr(7, 15);
+  WfaAligner aligner = ends_free_aligner(Penalties::defaults(), 10);
+  const auto result = aligner.align(pattern, text, AlignmentScope::kFull);
+  EXPECT_EQ(result.score, 0);
+  EXPECT_EQ(result.text_begin, 7u);
+  EXPECT_EQ(result.cigar.ops(), std::string(15, 'M'));
+  EXPECT_NO_THROW(align::verify_result(result, pattern, text,
+                                       Penalties::defaults(), 10));
+  // One free base short at each end (7 bases lead and trail the read):
+  // each end's extra base is a one-base insertion.
+  WfaAligner tight = ends_free_aligner(Penalties::defaults(), 6);
+  const auto gapped = tight.align(pattern, text, AlignmentScope::kFull);
+  EXPECT_EQ(gapped.text_begin, 6u);
+  EXPECT_EQ(gapped.score, 2 * (6 + 2));
+  EXPECT_EQ(gapped.cigar.text_length(), 15u + 2);
+  // verify_result holds the result to the free-end bound it is given.
+  EXPECT_THROW(align::verify_result(result, pattern, text,
+                                    Penalties::defaults(), 6),
+               Error);
+}
+
+TEST(WfaEndsFree, AlignSpanRunsEndsFreeOnlyFromMToM) {
+  Rng rng(0xE4D7);
+  WfaAligner aligner = ends_free_aligner(Penalties::defaults(), 8);
+  for (usize trial = 0; trial < 20; ++trial) {
+    const seq::ReadPair pair = ends_free_pair(rng, trial);
+    EXPECT_EQ(aligner.align_span(pair.pattern, pair.text,
+                                 AlignmentScope::kFull, Component::kM,
+                                 Component::kM),
+              aligner.align(pair.pattern, pair.text, AlignmentScope::kFull));
+  }
+  for (const auto& [begin, end] :
+       {std::pair{Component::kI, Component::kM},
+        std::pair{Component::kM, Component::kD},
+        std::pair{Component::kD, Component::kI}}) {
+    EXPECT_THROW(aligner.align_span("ACGTAC", "ACGTAC",
+                                    AlignmentScope::kFull, begin, end),
+                 InvalidArgument);
+  }
+}
+
+TEST(WfaEndsFree, NeedsRetainedExactMode) {
+  WfaAligner::Options options;
+  options.text_ends_free = 4;
+  for (const auto mode :
+       {WfaAligner::MemoryMode::kLow, WfaAligner::MemoryMode::kUltralow}) {
+    options.memory_mode = mode;
+    EXPECT_THROW(WfaAligner{options}, InvalidArgument);
+  }
+  options.memory_mode = WfaAligner::MemoryMode::kHigh;
+  options.heuristic.enabled = true;
+  EXPECT_THROW(WfaAligner{options}, InvalidArgument);
 }
 
 }  // namespace
