@@ -461,6 +461,52 @@ TEST(ThreadCountInvarianceEdges, EmptyReadList) {
   expect_same_counts(result.stats, MapperStats{}, "empty read list");
 }
 
+// --- golden filter decisions ---------------------------------------------
+// "Filtered == brute force" only catches a filter that wrongly rejects;
+// one that wrongly accepts junk windows still maps identically. Exact
+// counts on a fixed repeat-rich workload pin every filter decision, for
+// a 2% budget, whose free-end band f + 2t + 2 is 30 at L = 100 and fits
+// a machine word, and a 6% one, whose band (78) does not. Reads are
+// drawn at 4%, so many windows land near either threshold.
+TEST(MapperGoldenCounts, FilterDecisionsArePinned) {
+  ReferenceConfig ref_config;
+  ref_config.length = 200'000;
+  ref_config.seed = 0x60D;
+  const std::string genome = synthetic_reference(ref_config);
+  ReadSimConfig sim;
+  sim.reads = 500;
+  sim.error_rate = 0.04;
+  sim.seed = 0x6E7;
+  std::vector<std::string> reads;
+  for (const SimulatedRead& read : simulate_reads(genome, sim)) {
+    reads.push_back(read.bases);
+  }
+
+  struct Golden {
+    double error_rate;
+    usize band_width;  // f + 2t + 2 at L = 100
+    usize candidates, filter_rejected, verified, qualified;
+  };
+  for (const Golden& golden : {Golden{0.02, 30, 2926, 2051, 875, 190},
+                               Golden{0.06, 78, 2926, 1485, 1441, 875}}) {
+    MapperOptions options = backend_options("cpu");
+    options.error_rate = golden.error_rate;
+    ReadMapper mapper(genome, options);
+    const std::string label =
+        "error_rate " + std::to_string(golden.error_rate);
+    EXPECT_EQ(mapper.text_ends_free(reads) +
+                  2 * static_cast<usize>(mapper.filter_threshold(100)) + 2,
+              golden.band_width)
+        << label;
+    const MapperStats stats = mapper.map(reads).stats;
+    EXPECT_EQ(stats.reads, reads.size()) << label;
+    EXPECT_EQ(stats.candidates, golden.candidates) << label;
+    EXPECT_EQ(stats.filter_rejected, golden.filter_rejected) << label;
+    EXPECT_EQ(stats.verified, golden.verified) << label;
+    EXPECT_EQ(stats.qualified, golden.qualified) << label;
+  }
+}
+
 // --- end-to-end mapping quality ------------------------------------------
 
 TEST(ReadMapper, MapsBothStrandsToTheTrueLocus) {
