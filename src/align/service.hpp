@@ -101,7 +101,8 @@ struct ServiceStats {
   usize batches = 0;     // batches dispatched to the engine
   usize peak_queued_pairs = 0;    // high-water of admitted-but-unresolved
   usize peak_resident_pairs = 0;  // high-water of pairs across all arenas
-  double latency_p50_ms = 0;  // admission -> results, completed requests
+  // Admission -> results over all completed requests, within 1%.
+  double latency_p50_ms = 0;
   double latency_p99_ms = 0;
 };
 
@@ -272,7 +273,8 @@ class AlignService {
   usize batches_ PIMWFA_GUARDED_BY(mutex_) = 0;
   usize peak_queued_pairs_ PIMWFA_GUARDED_BY(mutex_) = 0;
   usize peak_resident_pairs_ PIMWFA_GUARDED_BY(mutex_) = 0;
-  SampleSet latency_ms_ PIMWFA_GUARDED_BY(mutex_);
+  // Fixed size for the service's whole life; quantiles within 1%.
+  LogHistogram latency_ms_ PIMWFA_GUARDED_BY(mutex_);
 
   std::thread batcher_;
 };

@@ -3,7 +3,27 @@
 //
 // These are the fast *edit-distance* baselines: the PIM paper's future work
 // names "PIM implementations of other alignment algorithms" as comparison
-// targets, and Myers/Ukkonen are the standard unit-cost contenders.
+// targets, and Myers/Ukkonen are the standard unit-cost contenders. The
+// read mapper's candidate filter is MyersMatcher::bounded_distance, which
+// runs one of two recurrences:
+//
+// - The one-word band (Hyyro 2003's banded form), whenever the free-end
+//   bound f and the threshold t satisfy f + 2t + 2 <= 64 (26 for the
+//   mapper's 100 bp reads at 2% divergence). An alignment of cost <= t
+//   stays in rows [j - f - t, j + t] of text column j, so a single 64-row
+//   word that slides down one row per column holds it, whatever the
+//   pattern's length. Cells the band cuts off are only over-estimated,
+//   so every cell on such an alignment is exact. Every 8 columns between
+//   the free ends, the band stops once every cell it holds in those rows
+//   exceeds t: every alignment crosses that column there, and a cell
+//   never falls below an earlier cell of its path, so no alignment can
+//   come back to t. This is lossless; it ends most junk windows after
+//   about half their columns.
+// - Otherwise, and for the exact distance(), the blocked recurrence:
+//   ceil(|pattern| / 64) words per column, chained by their horizontal
+//   deltas, pruned only when the last row can no longer descend back to
+//   the threshold.
+
 #pragma once
 
 #include <string_view>
@@ -18,9 +38,7 @@ namespace pimwfa::baselines {
 // (Peq), after which every distance call only walks the text. All
 // buffers are members and only ever grow, so a matcher reused across
 // patterns and texts stops allocating once it has seen the longest
-// pattern. Patterns above 64 bases run as 64-row blocks chained by the
-// horizontal deltas (Hyyro 2003). Not thread-safe: one matcher per
-// thread.
+// pattern. Not thread-safe: one matcher per thread.
 class MyersMatcher {
  public:
   MyersMatcher() = default;
@@ -33,11 +51,13 @@ class MyersMatcher {
   i64 distance(std::string_view text);
 
   // The distance if it is <= threshold, otherwise threshold+1 (meaning
-  // "greater than threshold"). The length difference is checked first,
-  // and columns are pruned the moment the last-row score can no longer
-  // descend back to the threshold (the final distance is at least
-  // score[j] - remaining columns, since adjacent last-row cells differ
-  // by at most 1), so junk candidates exit in O(threshold) columns.
+  // "greater than threshold"). The length difference is checked first;
+  // then the one-word band runs when text_ends_free (capped at |text|)
+  // + 2 * threshold + 2 <= 64, the blocked recurrence otherwise (see the
+  // file comment). Both return the same value. The blocked one prunes
+  // columns once the last-row score can no longer descend back to the
+  // threshold (the final distance is at least score[j] - remaining
+  // columns, since adjacent last-row cells differ by at most 1).
   //
   // A non-zero `text_ends_free` gives the search form (Myers 1999): the
   // minimum distance between the pattern and text[b, e) over
@@ -56,10 +76,17 @@ class MyersMatcher {
   template <bool kEndsFree>
   i64 run(std::string_view text, i64 prune, usize text_ends_free);
 
+  // The one-word band recurrence with its cutoff, for
+  // text_ends_free + 2 * threshold + 2 <= 64 and text_ends_free <= |text|:
+  // the distance if it is <= threshold, otherwise more than threshold.
+  i64 run_band(std::string_view text, i64 threshold,
+               usize text_ends_free) const;
+
   usize m_ = 0;
   usize blocks_ = 0;
-  // peq_[c * blocks_ + b]: bit i set iff pattern[64 * b + i] == c. Only
-  // the rows of bytes in used_ are non-zero.
+  // peq_[c * (blocks_ + 1) + b]: bit i set iff pattern[64 * b + i] == c.
+  // Only the rows of bytes in used_ are non-zero; each row ends in a zero
+  // word, so the band's 64-row window can start at any pattern row.
   std::vector<u64> peq_;
   std::vector<u8> used_;  // distinct bytes of the current pattern
   std::vector<u64> pv_;   // per-block vertical +1 / -1 delta vectors

@@ -120,4 +120,73 @@ class Histogram {
   u64 total_ = 0;
 };
 
+// Log-bucketed histogram of non-negative samples (HdrHistogram-style) for
+// long-lived quantile tracking, e.g. request latencies in ms: a fixed
+// bucket array, O(1) add, O(buckets) quantiles. Buckets grow
+// geometrically by kGrowth from kLowest, and a quantile reports its
+// bucket's geometric midpoint, so over [kLowest, kHighest) it is within
+// 1% relative error of the nearest-rank sample SampleSet::quantile
+// returns. Samples below kLowest or at/above kHighest land in an edge
+// bucket, which reports the exact min or max seen; so do q = 0 and 1.
+class LogHistogram {
+ public:
+  static constexpr double kGrowth = 1.02;  // sqrt(1.02) - 1 < 1%
+  static constexpr double kLowest = 1e-3;
+  static constexpr double kHighest = 1e7;
+
+  LogHistogram()
+      : log_growth_(std::log(kGrowth)),
+        // Bucket 0 holds [0, kLowest), the last one [kHighest, inf).
+        counts_(static_cast<usize>(std::ceil(std::log(kHighest / kLowest) /
+                                             log_growth_)) +
+                    2,
+                0) {}
+
+  void add(double x) noexcept {
+    x = std::max(x, 0.0);
+    min_ = count_ == 0 ? x : std::min(min_, x);
+    max_ = count_ == 0 ? x : std::max(max_, x);
+    ++count_;
+    usize index = 0;
+    if (x >= kLowest) {
+      const double steps = std::floor(std::log(x / kLowest) / log_growth_);
+      index = static_cast<usize>(
+          std::min(steps + 1, static_cast<double>(counts_.size() - 1)));
+    }
+    ++counts_[index];
+  }
+
+  u64 count() const noexcept { return count_; }
+  bool empty() const noexcept { return count_ == 0; }
+  usize buckets() const noexcept { return counts_.size(); }
+
+  // q in [0,1]; the bucket of the nearest-rank sample.
+  double quantile(double q) const {
+    PIMWFA_CHECK(count_ > 0, "quantile of empty LogHistogram");
+    PIMWFA_ARG_CHECK(q >= 0.0 && q <= 1.0, "quantile q out of [0,1]");
+    const u64 rank = std::min<u64>(
+        count_ - 1,
+        static_cast<u64>(std::floor(q * static_cast<double>(count_))));
+    if (rank == 0) return min_;
+    if (rank == count_ - 1) return max_;
+    u64 seen = 0;
+    usize index = 0;
+    while (seen + counts_[index] <= rank) seen += counts_[index++];
+    if (index == 0) return min_;
+    if (index + 1 == counts_.size()) return max_;
+    const double midpoint =
+        kLowest * std::exp((static_cast<double>(index) - 0.5) * log_growth_);
+    return std::clamp(midpoint, min_, max_);
+  }
+
+  double median() const { return quantile(0.5); }
+
+ private:
+  double log_growth_;
+  std::vector<u64> counts_;
+  u64 count_ = 0;
+  double min_ = 0.0;
+  double max_ = 0.0;
+};
+
 }  // namespace pimwfa

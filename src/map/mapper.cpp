@@ -133,7 +133,9 @@ void ReadMapper::seed_and_filter(const std::vector<std::string>& reads,
       votes.erase(std::unique(votes.begin(), votes.end()), votes.end());
 
       // --- Filter: bounded Myers over the verification's free-end span
-      // rejects provably non-qualifying windows.
+      // rejects provably non-qualifying windows (a one-word band that
+      // stops early whenever the span and threshold fit one; see
+      // baselines/myers.hpp).
       if (options_.filter && !votes.empty()) matcher.set_pattern(oriented);
       const usize pad = pad_for(length);
       const i64 threshold = filter_threshold(length);

@@ -16,6 +16,15 @@
 // free, so a true placement pays only for its own edits, and the
 // mapping's position is where its alignment starts in the reference.
 //
+// The filter is MyersMatcher::bounded_distance over the same free-end
+// span. When that bound f and the filter threshold t satisfy
+// f + 2t + 2 <= 64 (26 for 100 bp reads at the default 2%; reads up to
+// 250 bp qualify) it runs a one-word banded recurrence that gives up,
+// losslessly, as soon as every cell an alignment of cost <= t could
+// pass through exceeds t; wider bands run the blocked recurrence (see
+// baselines/myers.hpp). Both return the same distance, so the choice
+// never changes a survivor.
+//
 // Seeding and filtering run fused, per contiguous read range, on a
 // worker pool the mapper owns (batch.cpu_threads workers, 0 = hardware
 // threads); each read is preprocessed once for the Myers filter of all

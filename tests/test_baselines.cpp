@@ -281,11 +281,26 @@ i64 free_end_edit_distance(std::string_view pattern, std::string_view text,
                            row.end());
 }
 
+// Checks the matcher (set to `pattern`) against the DP oracle at every
+// threshold 0..max(d, t_max) + 2.
+void expect_search_form(MyersMatcher& matcher, const std::string& pattern,
+                        const std::string& text, usize free, i64 t_max,
+                        const std::string& label) {
+  const i64 d = free_end_edit_distance(pattern, text, free);
+  for (i64 t = 0; t <= std::max(d, t_max) + 2; ++t) {
+    EXPECT_EQ(matcher.bounded_distance(text, t, free), std::min(d, t + 1))
+        << label << " free " << free << " t=" << t;
+  }
+}
+
 // The search form: free leading and trailing text, from the global case
 // (bound 0) through bounded ends to the semi-global distance (a bound of
 // the text length or more), against a DP oracle at every threshold
 // 0..d+2. One matcher serves every pattern, so state left over from a
 // longer pattern or another bound would surface as a wrong distance.
+// Bounds and thresholds with f + 2t + 2 <= 64 take the one-word band,
+// the rest the blocked recurrence; the cases below cover both sides of
+// that line.
 TEST(MyersMatcher, SearchFormMatchesFreeEndDp) {
   Rng rng(0x5E4C);
   MyersMatcher matcher;
@@ -303,13 +318,41 @@ TEST(MyersMatcher, SearchFormMatchesFreeEndDp) {
       const usize tl = text.size();
       for (const usize free : {usize{0}, usize{1}, usize{4}, tl, tl + 9,
                                rng.next_below(tl + 1)}) {
-        const i64 d = free_end_edit_distance(pattern, text, free);
-        for (i64 t = 0; t <= d + 2; ++t) {
-          EXPECT_EQ(matcher.bounded_distance(text, t, free),
-                    std::min(d, t + 1))
-              << "length " << length << " trial " << trial << " free "
-              << free << " t=" << t;
-        }
+        expect_search_form(matcher, pattern, text, free, 0,
+                           "length " + std::to_string(length) + " trial " +
+                               std::to_string(trial));
+      }
+    }
+  }
+
+  // Mapper-shaped: a 100-base read against its window padded by 4 bases
+  // per side, with free ends of 8, the read carrying 0-3 edits or drawn
+  // from a 20%-diverged copy (the repeat siblings the filter rejects).
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::string window = seq::random_sequence(rng, 108);
+    const usize edits = trial % 5 == 4 ? 20 : static_cast<usize>(trial % 4);
+    const std::string read =
+        seq::mutate_sequence(rng, window.substr(4, 100), edits);
+    matcher.set_pattern(read);
+    expect_search_form(matcher, read, window, 8, 0,
+                       "mapper-shaped edits " + std::to_string(edits));
+  }
+
+  // Band widths f + 2t + 2 of 63, 64 and 65, for patterns of 30, 100 and
+  // 150 bases and for the global bounded form (f = 0, t = 31 or 32).
+  for (const usize length : {30u, 100u, 150u}) {
+    const std::string pattern = seq::random_sequence(rng, length);
+    matcher.set_pattern(pattern);
+    for (const usize edits : {usize{2}, length / 5, length / 3}) {
+      const std::string text = seq::random_sequence(rng, 10) +
+                               seq::mutate_sequence(rng, pattern, edits) +
+                               seq::random_sequence(rng, 10);
+      const std::string label = "length " + std::to_string(length) +
+                                " edits " + std::to_string(edits);
+      for (const usize free : {0u, 1u, 20u, 21u, 61u, 62u, 63u}) {
+        // The threshold at which this bound's band reaches width 64.
+        const i64 t_edge = free <= 62 ? static_cast<i64>((62 - free) / 2) : 0;
+        expect_search_form(matcher, pattern, text, free, t_edge + 1, label);
       }
     }
   }

@@ -186,6 +186,55 @@ TEST(Stats, SampleSetQuantiles) {
   EXPECT_DOUBLE_EQ(s.mean(), 50.5);
 }
 
+// Quantiles of a known skewed sample stay within the histogram's 1%
+// bucket error of SampleSet's exact nearest-rank quantiles.
+TEST(Stats, LogHistogramQuantilesTrackNearestRank) {
+  Rng rng(0x1A7);
+  SampleSet exact;
+  LogHistogram histogram;
+  for (int i = 0; i < 20'000; ++i) {
+    // Latencies from microseconds to seconds, in ms.
+    const double ms = std::exp(rng.next_double() * 16.0 - 6.9);
+    exact.add(ms);
+    histogram.add(ms);
+  }
+  EXPECT_EQ(histogram.count(), 20'000u);
+  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    const double want = exact.quantile(q);
+    EXPECT_NEAR(histogram.quantile(q), want, 0.01 * want) << "q=" << q;
+  }
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.0), exact.quantile(0.0));
+  EXPECT_DOUBLE_EQ(histogram.quantile(1.0), exact.quantile(1.0));
+}
+
+TEST(Stats, LogHistogramEdgesAndEmpty) {
+  LogHistogram histogram;
+  EXPECT_TRUE(histogram.empty());
+  EXPECT_THROW(histogram.quantile(0.5), Error);
+  histogram.add(LogHistogram::kLowest / 4);   // below the lowest bucket
+  histogram.add(LogHistogram::kHighest * 5);  // above the highest
+  histogram.add(-1.0);                        // clamps to 0
+  histogram.add(LogHistogram::kLowest / 2);
+  EXPECT_EQ(histogram.count(), 4u);
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.0), 0.0);
+  // Ranks inside the edge buckets report the exact min or max.
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(histogram.quantile(1.0), LogHistogram::kHighest * 5);
+  EXPECT_THROW(histogram.quantile(1.5), InvalidArgument);
+}
+
+// The service keeps one histogram for its whole life: a million adds
+// leave the bucket array as it was built.
+TEST(Stats, LogHistogramFootprintIsFlat) {
+  LogHistogram histogram;
+  const usize buckets = histogram.buckets();
+  Rng rng(0xF1A7);
+  for (int i = 0; i < 1'000'000; ++i) histogram.add(rng.next_double() * 50.0);
+  EXPECT_EQ(histogram.buckets(), buckets);
+  EXPECT_EQ(histogram.count(), 1'000'000u);
+  EXPECT_NEAR(histogram.median(), 25.0, 0.5);
+}
+
 TEST(Stats, HistogramBuckets) {
   Histogram h(0.0, 10.0, 10);
   h.add(0.5);
